@@ -10,10 +10,8 @@ from .arithmetic import (
 )
 from .catalan import (
     CatalanInstance,
-    catalan_holds,
     lemma2_no_solutions,
     search_catalan,
-    solve_catalan_constrained,
 )
 from .classifier import (
     AffineExpr,
@@ -59,7 +57,6 @@ __all__ = [
     "SolutionFamily",
     "SolutionTriple",
     "brute_force",
-    "catalan_holds",
     "classify",
     "cross_check",
     "enumerate_solutions",
@@ -70,7 +67,6 @@ __all__ = [
     "lemma2_no_solutions",
     "p_adic_valuation",
     "search_catalan",
-    "solve_catalan_constrained",
     "trace_candidate",
     "verify",
 ]

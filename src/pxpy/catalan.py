@@ -2,29 +2,24 @@
 
 Mihailescu's theorem (Catalan's conjecture) says a^x - b^y = 1 with all of
 a, b, x, y > 1 has exactly one solution: 3^2 - 2^3 = 1. The classifier leans
-on that fact twice, so this module both evaluates such instances directly
-and re-derives the fact by bounded search, keeping the repository from
-resting on an unchecked citation.
+on that fact twice, so this module re-derives it by bounded search, keeping
+the repository from resting on an unchecked citation.
 
 All searches are serial and emit sorted results, so output is deterministic.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .arithmetic import integer_root, is_prime
-from .classifier import EquationInstance, SolutionTriple
+from .classifier import EquationInstance
 from .errors import InternalInconsistencyError
-from .oracle import SearchBox, SearchReport
+from .oracle import SearchBox, SearchReport, brute_force
 
 __all__ = [
     "CatalanInstance",
-    "catalan_holds",
     "lemma2_no_solutions",
     "search_catalan",
-    "solve_catalan_constrained",
 ]
 
 
@@ -40,34 +35,6 @@ class CatalanInstance:
     def __post_init__(self) -> None:
         if min(self.a, self.b, self.x, self.y) < 0:
             raise ValueError("all fields must be non-negative")
-
-
-def catalan_holds(inst: CatalanInstance) -> bool:
-    """True iff a^x - b^y = 1, evaluated exactly."""
-    return inst.a**inst.x == inst.b**inst.y + 1
-
-
-def solve_catalan_constrained(k: int, base: int, max_exponent: int) -> list[int]:
-    """All t with 2 <= t <= max_exponent and k^2 - base^t = 1, by direct search.
-
-    By Mihailescu's theorem the answer is [3] exactly when (k, base) = (3, 2)
-    and [] otherwise; this searches instead of pattern-matching so it doubles
-    as an independent check of the classifier's reductions.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    target = k * k - 1
-    hits = []
-    power = base * base
-    t = 2
-    while t <= max_exponent and power <= target:
-        if power == target:
-            hits.append(t)
-        power *= base
-        t += 1
-    return hits
 
 
 def search_catalan(a_max: int, b_max: int, x_max: int, y_max: int) -> list[CatalanInstance]:
@@ -104,22 +71,12 @@ def lemma2_no_solutions(p: int, x_max: int) -> SearchReport:
     """
     if x_max < 0:
         raise ValueError("x_max must be >= 0")
-    if p <= 3 or not is_prime(p):
+    if p <= 3:
         raise ValueError("p must be a prime greater than 3")
-    started = time.perf_counter()
-    hits = []
-    value = 1  # p^x, starting at x = 0
-    for x in range(x_max + 1):
-        result = integer_root(value + 1, 2)
-        if result.exact:
-            hits.append(SolutionTriple(x, 0, result.root))
-        value *= p
-    if hits:
+    report = brute_force(EquationInstance(p, 1), SearchBox(x_max, 0))
+    if report.solutions:
         raise InternalInconsistencyError(
             f"{p}^x + 1 = z^2 with prime {p} > 3 must have no solutions; "
-            f"search produced {[h.as_tuple() for h in hits]}"
+            f"search produced {[t.as_tuple() for t in report.solutions]}"
         )
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return SearchReport(
-        EquationInstance(p, 1), SearchBox(x_max, 0), (), x_max + 1, elapsed_ms
-    )
+    return report

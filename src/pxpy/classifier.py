@@ -11,8 +11,9 @@ short list of one-parameter families in s:
 
 `classify` emits the families symbolically, `instantiate` and
 `enumerate_solutions` turn them into concrete triples, `verify` checks a
-candidate directly against the equation, and `trace_candidate` replays the
-case analysis behind the classification to explain any verdict.
+candidate directly against the equation (the only place it is evaluated),
+and `trace_candidate` replays the case analysis behind the classification
+to explain any verdict.
 
 Everything here is pure and immutable; values are safe to share across
 threads.
@@ -256,7 +257,7 @@ def instantiate(
     if not family.s_condition.holds(s):
         raise ValueError(f"s={s} violates the family condition {family.s_condition}")
     triple = SolutionTriple(family.x_expr(s), family.y_expr(s), family.z_expr(s))
-    if eval_lhs(instance.p, triple.x, triple.y) != triple.z**instance.power:
+    if not verify(instance, triple):
         raise InternalInconsistencyError(
             f"family {family} at s={s} produced {triple.as_tuple()}, which does "
             f"not satisfy {instance.p}^x + {instance.p}^y = z^{instance.power}"
@@ -270,22 +271,24 @@ def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
 
 
 def enumerate_solutions(
-    instance: EquationInstance, max_exponent: int
+    instance: EquationInstance, max_exponent: int, y_max: int | None = None
 ) -> list[SolutionTriple]:
-    """Every solution with x <= max_exponent and y <= max_exponent.
+    """Every solution with x <= max_exponent and y <= y_max.
 
-    Instantiates the classification's families; the result is sorted
-    lexicographically by (x, y, z) and duplicate-free. z is not bounded: it
-    is determined by x and y.
+    y_max defaults to max_exponent. Instantiates the classification's
+    families; the result is sorted lexicographically by (x, y, z) and
+    duplicate-free. z is not bounded: it is determined by x and y.
     """
-    if max_exponent < 0:
-        raise ValueError("max_exponent must be >= 0")
+    if y_max is None:
+        y_max = max_exponent
+    if max_exponent < 0 or y_max < 0:
+        raise ValueError("max_exponent and y_max must be >= 0")
     found: set[SolutionTriple] = set()
     for family in classify(instance).families:
         s = family.s_condition.residue % family.s_condition.modulus
         step = family.s_condition.modulus
         while True:
-            if family.x_expr(s) > max_exponent or family.y_expr(s) > max_exponent:
+            if family.x_expr(s) > max_exponent or family.y_expr(s) > y_max:
                 break
             found.add(instantiate(family, s, instance))
             s += step
@@ -295,7 +298,9 @@ def enumerate_solutions(
 def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseTrace:
     """Replay the case analysis on a candidate; the verdict matches verify().
 
-    Rejections are verdicts carrying a reason, never errors.
+    Rejections are verdicts carrying a reason, never errors. Reasons name
+    only p, n and exponents, never z, w or k, so they stay short and
+    printable however large the candidate; those values are in the trace.
     """
     p, n = instance.p, instance.n
     x, y, z = triple.x, triple.y, triple.z
@@ -329,7 +334,7 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
     else:
         label = "n>1 Case 2.2"
     reason = (
-        f"(x, y, w) with w = z^{n} = {w} must solve the square equation, "
+        f"(x, y, w) with w = z^{n} must solve the square equation, "
         f"which rejects it at {inner.case_label}: {inner.rejection_reason}"
     )
     return CaseTrace(label, False, w=w, rejection_reason=reason)
@@ -361,14 +366,13 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
                     "odd exponent, which is not a perfect square"
                 ),
             )
-        expected = 2 ** ((x + 1) // 2)
-        if z != expected:
+        if z != 2 ** ((x + 1) // 2):
             return CaseTrace(
                 "Case 1",
                 False,
                 rejection_reason=(
-                    f"x = y = {x} forces {root_name} = 2^{(x + 1) // 2} = "
-                    f"{expected}; got {root_name} = {z}"
+                    f"x = y = {x} forces {root_name} = 2^{(x + 1) // 2}; "
+                    f"got another {root_name}"
                 ),
             )
         return CaseTrace("Case 1", True)
@@ -403,7 +407,7 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
                 label("2.2"), False, e=e, k=k,
                 rejection_reason=(
                     f"k^2 - 2^d = 1 with d > 1 forces (k, d) = (3, 3) by "
-                    f"Mihailescu's theorem; got (k, d) = ({k}, {d})"
+                    f"Mihailescu's theorem; got d = {d}, k {'=' if k == 3 else '!='} 3"
                 ),
             )
         return CaseTrace(label("2.2"), True, e=e, k=k)
@@ -416,7 +420,7 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
             if k != 2:
                 return CaseTrace(
                     label("2.3"), False, e=e, k=k,
-                    rejection_reason=f"k^2 = 1 + 3 = 4 forces k = 2; got k = {k}",
+                    rejection_reason="k^2 = 1 + 3 = 4 forces k = 2; got k != 2",
                 )
             return CaseTrace(label("2.3"), True, e=e, k=k)
         return CaseTrace(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .arithmetic import integer_root
-from .classifier import EquationInstance, SolutionTriple, enumerate_solutions
+from .classifier import EquationInstance, SolutionTriple, enumerate_solutions, verify
 from .errors import InternalInconsistencyError
 
 __all__ = [
@@ -111,7 +111,7 @@ def brute_force(
             raw = [hit for part in parts for hit in part]
     solutions = tuple(sorted(SolutionTriple(*hit) for hit in raw))
     for triple in solutions:
-        if instance.p**triple.x + instance.p**triple.y != triple.z**instance.power:
+        if not verify(instance, triple):
             raise InternalInconsistencyError(
                 f"search reported {triple.as_tuple()}, which fails re-checking"
             )
@@ -123,9 +123,9 @@ def brute_force(
 class CrossCheckResult:
     """Agreement between the brute-force search and the family enumeration.
 
-    Both sides are compared on the square sub-box bounded by
-    min(x_max, y_max); the symmetric difference is split into the triples
-    only one side produced.
+    Both sides are compared on the whole box, every pair the search covered;
+    the symmetric difference is split into the triples only one side
+    produced.
     """
 
     instance: EquationInstance
@@ -150,13 +150,8 @@ def cross_check(
     INCONSISTENT is a result, not an error; it means one side found a triple
     the other did not, which would falsify the classification at desk scale.
     """
-    bound = min(box.x_max, box.y_max)
-    searched = {
-        triple
-        for triple in brute_force(instance, box, workers=workers).solutions
-        if triple.x <= bound and triple.y <= bound
-    }
-    expected = set(enumerate_solutions(instance, bound))
+    searched = set(brute_force(instance, box, workers=workers).solutions)
+    expected = set(enumerate_solutions(instance, box.x_max, box.y_max))
     return CrossCheckResult(
         instance,
         box,

@@ -1,28 +1,15 @@
 """Tests for the consecutive-perfect-power helpers."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import pxpy.catalan
-from pxpy.arithmetic import RootResult
-from pxpy.catalan import (
-    CatalanInstance,
-    catalan_holds,
-    lemma2_no_solutions,
-    search_catalan,
-    solve_catalan_constrained,
-)
+from pxpy.catalan import CatalanInstance, lemma2_no_solutions, search_catalan
+from pxpy.classifier import SolutionTriple
 from pxpy.errors import InternalInconsistencyError
+from pxpy.oracle import SearchReport
 
 PRIMES_TO_97 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
                 71, 73, 79, 83, 89, 97]
-
-
-def test_catalan_holds_examples():
-    assert catalan_holds(CatalanInstance(3, 2, 2, 3))
-    assert catalan_holds(CatalanInstance(2, 1, 1, 1))  # outside the min > 1 scope
-    assert not catalan_holds(CatalanInstance(3, 2, 2, 2))
 
 
 def test_catalan_instance_rejects_negative_fields():
@@ -30,43 +17,10 @@ def test_catalan_instance_rejects_negative_fields():
         CatalanInstance(3, 2, -1, 3)
 
 
-@given(a=st.integers(0, 30), b=st.integers(0, 30), x=st.integers(0, 12), y=st.integers(0, 12))
-def test_catalan_holds_matches_direct_evaluation(a, b, x, y):
-    assert catalan_holds(CatalanInstance(a, b, x, y)) == (a**x - b**y == 1)
-
-
-def test_solve_constrained_examples():
-    assert solve_catalan_constrained(3, 2, 50) == [3]
-    assert solve_catalan_constrained(4, 3, 50) == []
-    # direct evaluation: 4 - 2^t is never 1 for t >= 2
-    assert all(4 - 2**t != 1 for t in range(2, 51))
-    assert solve_catalan_constrained(2, 2, 50) == []
-
-
-def test_solve_constrained_invalid_arguments():
-    with pytest.raises(ValueError):
-        solve_catalan_constrained(1, 2, 50)
-    with pytest.raises(ValueError):
-        solve_catalan_constrained(3, 1, 50)
-
-
-def test_solve_constrained_matches_uniqueness_prediction():
-    for k in range(2, 40):
-        for base in (2, 3, 5, 7):
-            expected = [3] if (k, base) == (3, 2) else []
-            assert solve_catalan_constrained(k, base, 40) == expected, (k, base)
-
-
-@given(k=st.integers(2, 10**6), base=st.integers(2, 100))
-def test_solve_constrained_results_actually_solve(k, base):
-    for t in solve_catalan_constrained(k, base, 60):
-        assert k * k - base**t == 1
-
-
 def test_desk_scale_search_finds_only_eight_and_nine():
     found = search_catalan(50, 50, 20, 20)
     assert found == [CatalanInstance(3, 2, 2, 3)]
-    assert all(catalan_holds(inst) for inst in found)
+    assert all(inst.a**inst.x - inst.b**inst.y == 1 for inst in found)
 
 
 def test_search_catalan_small_boxes():
@@ -99,10 +53,11 @@ def test_lemma2_across_small_primes():
 
 
 def test_lemma2_hit_raises_distinguished_error(monkeypatch):
-    # Force the root check to report an exact square; the lemma search must
-    # refuse to return it as a result.
-    monkeypatch.setattr(
-        pxpy.catalan, "integer_root", lambda m, k: RootResult(1, True)
-    )
+    # Force the strip search to report a solution; the lemma must refuse to
+    # return it as a result.
+    def search_with_hit(instance, box):
+        return SearchReport(instance, box, (SolutionTriple(1, 0, 1),), box.pairs, 0.0)
+
+    monkeypatch.setattr(pxpy.catalan, "brute_force", search_with_hit)
     with pytest.raises(InternalInconsistencyError):
         lemma2_no_solutions(5, 3)

@@ -1,5 +1,7 @@
 """Tests for the classification engine: families, verification, tracing."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -247,6 +249,31 @@ class TestTraceCandidate:
                                 == verify(inst, triple)
                             ), (p, n, x, y, z)
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this interpreter has no int-to-str digit limit",
+    )
+    def test_huge_rejected_candidates_at_default_str_limit(self):
+        # Rejection reasons must not spell out z, w or k: at the interpreter's
+        # default int-to-str limit that would raise for values over 4300
+        # digits. The CLI tests lift the limit process-wide, so pin it here.
+        cases = [
+            (EquationInstance(2, 1), SolutionTriple(1, 1, 10**5000), "Case 1"),
+            (EquationInstance(2, 1), SolutionTriple(0, 3, 10**5000 + 1), "Case 2.2"),
+            (EquationInstance(3, 1), SolutionTriple(0, 1, 10**5000 + 1), "Case 2.3"),
+            (EquationInstance(2, 2), SolutionTriple(1, 1, 10**2200), "n>1 Case 1"),
+        ]
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for inst, triple, label in cases:
+                trace = trace_candidate(inst, triple)
+                assert trace.case_label == label
+                assert not trace.accepted and not verify(inst, triple)
+                assert len(trace.rejection_reason) < 200
+        finally:
+            sys.set_int_max_str_digits(previous)
+
     def test_accepted_valuation_witness(self):
         # For accepted traces on the unequal-exponent paths, z = p^e * k with
         # p not dividing k, and the smaller exponent is exactly 2e.
@@ -295,12 +322,18 @@ class TestEnumerate:
             assert {SolutionTriple(t.y, t.x, t.z) for t in triples} == triples
 
     def test_bound_applies_to_both_exponents(self):
-        for triple in enumerate_solutions(EquationInstance(2, 1), 9):
+        inst = EquationInstance(2, 1)
+        for triple in enumerate_solutions(inst, 9):
             assert triple.x <= 9 and triple.y <= 9
+        wide = enumerate_solutions(inst, 20, 6)
+        assert SolutionTriple(7, 4, 12) in wide
+        assert wide == [t for t in enumerate_solutions(inst, 20) if t.y <= 6]
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             enumerate_solutions(EquationInstance(2, 1), -1)
+        with pytest.raises(ValueError):
+            enumerate_solutions(EquationInstance(2, 1), 5, -1)
 
 
 class TestInternalCertification:

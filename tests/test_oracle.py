@@ -2,7 +2,10 @@
 
 import pytest
 
-from pxpy.classifier import EquationInstance, SolutionTriple, verify
+import pxpy.oracle
+from pxpy.arithmetic import RootResult
+from pxpy.classifier import EquationInstance, SolutionTriple, enumerate_solutions, verify
+from pxpy.errors import InternalInconsistencyError
 from pxpy.oracle import SearchBox, brute_force, cross_check
 
 # Hand-derived from the family tables: the p=2, n=1 solutions with x, y <= 6.
@@ -77,6 +80,13 @@ class TestBruteForce:
         report = brute_force(EquationInstance(2, 1), SearchBox(0, 0))
         assert report.solutions == ()
 
+    def test_false_root_fails_the_recheck(self, monkeypatch):
+        # A kernel that wrongly reports an exact root must be caught by the
+        # verify re-check rather than returned as a solution.
+        monkeypatch.setattr(pxpy.oracle, "integer_root", lambda m, k: RootResult(1, True))
+        with pytest.raises(InternalInconsistencyError):
+            brute_force(EquationInstance(5, 1), SearchBox(3, 3))
+
 
 class TestCrossCheck:
     def test_consistent_examples(self):
@@ -93,19 +103,32 @@ class TestCrossCheck:
                 result = cross_check(EquationInstance(p, n), SearchBox(10, 10))
                 assert result.consistent, (p, n)
 
-    def test_non_square_box_compares_on_common_square(self):
-        # Solutions with x beyond the y bound, e.g. (7, 4, 12), are out of
-        # enumeration range; the comparison clips to the shared square.
+    def test_non_square_box_compares_whole_box(self):
+        # Solutions with x beyond the y bound, e.g. (7, 4, 12), lie outside
+        # the common square but inside the box; both sides must cover them.
+        inst = EquationInstance(2, 1)
+        box = SearchBox(20, 6)
+        searched = brute_force(inst, box).solutions
+        assert SolutionTriple(7, 4, 12) in searched
+        assert list(searched) == enumerate_solutions(inst, 20, 6)
+        assert cross_check(inst, box).consistent
+
+    def test_non_square_box_catches_a_miss_outside_the_square(self, monkeypatch):
+        def missing_7_4_12(instance, max_exponent, y_max=None):
+            found = enumerate_solutions(instance, max_exponent, y_max)
+            return [t for t in found if t != SolutionTriple(7, 4, 12)]
+
+        monkeypatch.setattr(pxpy.oracle, "enumerate_solutions", missing_7_4_12)
         result = cross_check(EquationInstance(2, 1), SearchBox(20, 6))
-        assert result.consistent
+        assert result.verdict == "INCONSISTENT"
+        assert result.only_brute_force == (SolutionTriple(7, 4, 12),)
+        assert result.only_families == ()
 
     def test_inconsistency_is_reported_not_raised(self, monkeypatch):
         import pxpy.oracle as oracle_module
 
-        def missing_one(instance, max_exponent):
-            from pxpy.classifier import enumerate_solutions
-
-            return enumerate_solutions(instance, max_exponent)[1:]
+        def missing_one(instance, max_exponent, y_max=None):
+            return enumerate_solutions(instance, max_exponent, y_max)[1:]
 
         monkeypatch.setattr(oracle_module, "enumerate_solutions", missing_one)
         result = oracle_module.cross_check(EquationInstance(2, 1), SearchBox(8, 8))
