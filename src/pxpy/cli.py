@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .classifier import (
@@ -24,7 +23,7 @@ from .classifier import (
     verify,
 )
 from .errors import DigitCapExceededError, InternalInconsistencyError
-from .oracle import SearchBox, brute_force, cross_check
+from .oracle import SearchBox, brute_force, cross_check, default_workers
 
 SCHEMA_VERSION = "1"
 DEFAULT_DIGIT_CAP = 100_000
@@ -107,7 +106,7 @@ def _instance(args: argparse.Namespace, cap: DigitCap) -> EquationInstance:
 
 def _resolve_workers(value: int | None) -> int:
     if value is None:
-        return os.cpu_count() or 1
+        return default_workers()
     if value < 1:
         raise ValueError("--workers must be >= 1")
     return value
@@ -208,11 +207,10 @@ def cmd_search(args: argparse.Namespace, cap: DigitCap) -> int:
         _parse_natural(args.y_max, "y-max", cap),
     )
     cap.check_power(instance.p, max(box.x_max, box.y_max) + 1, "p^x + p^y")
-    workers = _resolve_workers(args.workers)
-    report = brute_force(instance, box, workers=workers)
+    report = brute_force(instance, box, workers=_resolve_workers(args.workers))
     payload = {
         "box": _box_payload(box),
-        "workers": str(workers),
+        "workers": str(report.workers_used),
         "solutions": [_triple_payload(t) for t in report.solutions],
         "pairs_checked": str(report.pairs_checked),
         "elapsed_ms": report.elapsed_ms,

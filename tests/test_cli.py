@@ -175,6 +175,14 @@ class TestSearch:
         ]
         assert isinstance(payload["elapsed_ms"], float)
 
+    def test_reports_workers_that_ran(self, capsys):
+        # A box this small runs inline whatever --workers asks for.
+        code, out, _ = run(capsys, "search", "--p", "2", "--n", "1",
+                           "--x-max", "5", "--y-max", "5", "--workers", "8")
+        assert code == 0
+        (record,) = records(out)
+        assert record["payload"]["workers"] == "1"
+
     def test_bad_workers_exits_2(self, capsys):
         code, _, err = run(capsys, "search", "--p", "2", "--n", "1",
                            "--x-max", "4", "--y-max", "4", "--workers", "0")

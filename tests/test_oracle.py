@@ -1,9 +1,14 @@
 """Tests for the brute-force search and the classifier cross-check."""
 
+import concurrent.futures
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pxpy.oracle
-from pxpy.arithmetic import RootResult
+from pxpy.arithmetic import integer_root
 from pxpy.classifier import EquationInstance, SolutionTriple, enumerate_solutions, verify
 from pxpy.errors import InternalInconsistencyError
 from pxpy.oracle import SearchBox, brute_force, cross_check
@@ -63,15 +68,33 @@ class TestBruteForce:
         keys = [t.as_tuple() for t in report.solutions]
         assert keys == sorted(set(keys))
 
-    def test_worker_count_does_not_change_report(self):
-        # Box chosen large enough that worker processes actually engage.
+    def test_worker_count_does_not_change_report(self, monkeypatch):
+        # The threshold is lowered so that worker processes actually engage.
+        monkeypatch.setattr(pxpy.oracle, "_PARALLEL_MIN_PAIRS", 0)
         inst = EquationInstance(2, 1)
         box = SearchBox(80, 80)
         serial = brute_force(inst, box, workers=1)
         parallel = brute_force(inst, box, workers=3)
         default = brute_force(inst, box, workers=None)
-        assert serial == parallel == default  # elapsed_ms excluded from equality
+        assert serial == parallel == default  # timing and workers excluded from equality
         assert serial.solutions == parallel.solutions
+        assert serial.workers_used == 1
+        assert parallel.workers_used == 3
+
+    @pytest.mark.parametrize("error", [OSError("no processes"), BrokenProcessPool("worker died")])
+    def test_pool_that_cannot_start_falls_back_inline(self, monkeypatch, capsys, error):
+        def no_pool(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(pxpy.oracle, "_PARALLEL_MIN_PAIRS", 0)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        inst = EquationInstance(2, 1)
+        box = SearchBox(30, 30)
+        report = brute_force(inst, box, workers=2)
+        assert report == brute_force(inst, box, workers=1)
+        assert report.workers_used == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "inline" in err
 
     def test_degenerate_boxes(self):
         report = brute_force(EquationInstance(2, 1), SearchBox(0, 3))
@@ -82,10 +105,52 @@ class TestBruteForce:
 
     def test_false_root_fails_the_recheck(self, monkeypatch):
         # A kernel that wrongly reports an exact root must be caught by the
-        # verify re-check rather than returned as a solution.
-        monkeypatch.setattr(pxpy.oracle, "integer_root", lambda m, k: RootResult(1, True))
+        # verify re-check rather than returned as a solution. The box holds
+        # solutions, so some pairs pass the sieve and reach the root.
+        asked = []
+
+        def false_root(value, n):
+            asked.append(value)
+            return 1
+
+        monkeypatch.setattr(pxpy.oracle, "_exact_root", false_root)
         with pytest.raises(InternalInconsistencyError):
-            brute_force(EquationInstance(5, 1), SearchBox(3, 3))
+            brute_force(EquationInstance(2, 1), SearchBox(3, 3))
+        assert asked
+
+
+def naive_scan(p, n, x_max, y_max):
+    """Reference scan: a degree-2n root of every pair's sum."""
+    hits = []
+    for x in range(x_max + 1):
+        for y in range(y_max + 1):
+            root = integer_root(p**x + p**y, 2 * n)
+            if root.exact:
+                hits.append((x, y, root.root))
+    return hits
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_residue_tables_are_exact(self, k):
+        for modulus in pxpy.oracle._SIEVE_MODULI:
+            table = pxpy.oracle._power_residues(modulus, k)
+            expected = {pow(r, k, modulus) for r in range(modulus)}
+            assert {r for r in range(modulus) if table[r]} == expected, (modulus, k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 97, 1_000_003]),
+        st.integers(1, 4),
+        st.integers(0, 40),
+        st.integers(0, 40),
+    )
+    @example(2, 1, 40, 3)
+    @example(2, 1, 3, 40)
+    @example(1_000_003, 2, 40, 40)
+    def test_matches_naive_scan(self, p, n, x_max, y_max):
+        report = brute_force(EquationInstance(p, n), SearchBox(x_max, y_max))
+        assert [t.as_tuple() for t in report.solutions] == naive_scan(p, n, x_max, y_max)
 
 
 class TestCrossCheck:
