@@ -11,15 +11,12 @@ from dataclasses import dataclass
 
 __all__ = [
     "DETERMINISTIC_PRIMALITY_BOUND",
-    "TRIAL_DIVISION_BOUND",
     "RootResult",
     "eval_lhs",
     "integer_root",
     "is_prime",
     "p_adic_valuation",
 ]
-
-TRIAL_DIVISION_BOUND = 10**6
 
 # Largest value below which the strong-probable-prime witness tiers used by
 # is_prime() are proven to leave no composite undetected.
@@ -101,25 +98,13 @@ def p_adic_valuation(m: int, p: int) -> tuple[int, int]:
 def is_prime(m: int) -> bool:
     """Deterministic primality test.
 
-    Trial division below 10^6; above that, strong-probable-prime rounds with
-    witness sets proven complete for every value below
-    DETERMINISTIC_PRIMALITY_BOUND (about 3.3 * 10^24). Inputs at or above
-    that bound are refused with ValueError rather than risking a wrong
-    answer.
+    Strong-probable-prime rounds with witness sets proven complete for every
+    value below DETERMINISTIC_PRIMALITY_BOUND (about 3.3 * 10^24), small
+    values included. Inputs at or above that bound are refused with
+    ValueError rather than risking a wrong answer.
     """
-    if m < 2:
-        return False
-    if m < TRIAL_DIVISION_BOUND:
-        if m < 4:
-            return True
-        if m % 2 == 0:
-            return False
-        divisor = 3
-        while divisor * divisor <= m:
-            if m % divisor == 0:
-                return False
-            divisor += 2
-        return True
+    if m < 4:
+        return m >= 2
     if m >= DETERMINISTIC_PRIMALITY_BOUND:
         raise ValueError(
             f"cannot certify primality of {m}: deterministic witness sets "

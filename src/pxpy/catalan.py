@@ -69,8 +69,6 @@ def lemma2_no_solutions(p: int, x_max: int) -> SearchReport:
     prime. The returned report therefore always carries an empty solution
     list; a hit raises InternalInconsistencyError, flagging a bug.
     """
-    if x_max < 0:
-        raise ValueError("x_max must be >= 0")
     if p <= 3:
         raise ValueError("p must be a prime greater than 3")
     report = brute_force(EquationInstance(p, 1), SearchBox(x_max, 0))

@@ -4,8 +4,10 @@ Machine-readable JSON records go to stdout, one object per line; diagnostics
 go to stderr. Every integer crosses the boundary as a decimal string so
 arbitrary precision survives serialization.
 
-Exit codes: 0 success / certified / consistent; 1 well-formed negative
-result; 2 invalid input or digit cap exceeded; 3 internal inconsistency.
+Each command parses and checks all of its input before it computes
+anything. Exit codes: 0 success / certified / consistent; 1 well-formed
+negative result; 2 invalid input or digit cap exceeded, always refused before
+any computation; 3 internal error (any other failure is a library bug).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .classifier import (
     verify,
 )
 from .errors import DigitCapExceededError, InternalInconsistencyError
-from .oracle import SearchBox, brute_force, cross_check, default_workers
+from .oracle import SearchBox, brute_force, cross_check
 
 SCHEMA_VERSION = "1"
 DEFAULT_DIGIT_CAP = 100_000
@@ -37,6 +39,23 @@ DEFAULT_CROSSCHECK_BOUND = "14"
 _LOG2_10_NUM = 332_193
 _LOG2_10_DEN = 100_000
 
+# classify renders the n>1, p=2 family for one concrete n; the summary states
+# it for every n, and perfbench's cli workload pins this text byte for byte.
+_SYMBOLIC_N_FAMILY = "x=2s+1, y=2s+1, z=2^((s+1)/n), s>=0, s = n-1 (mod n)"
+
+# (n label, p label, representative p, representative n) per regime.
+_REGIMES = (
+    ("1", "2", 2, 1),
+    ("1", "3", 3, 1),
+    ("1", "p>3", 5, 1),
+    ("n>1", "2", 2, 2),
+    ("n>1", "p>=3", 3, 2),
+)
+
+
+class _InputError(Exception):
+    """Invalid command-line input: exits 2, as a digit-cap refusal does."""
+
 
 class DigitCap:
     """Guard against materializing integers beyond a decimal-digit budget.
@@ -49,7 +68,7 @@ class DigitCap:
 
     def __init__(self, digits: int):
         if digits < 0:
-            raise ValueError("--digit-cap must be >= 0")
+            raise _InputError("--digit-cap must be >= 0")
         self.digits = digits
 
     def check_literal(self, text: str, name: str) -> None:
@@ -72,11 +91,8 @@ class DigitCap:
             )
 
 
-def _allow_large_int_strings(cap_digits: int) -> None:
+def _allow_large_int_strings(cap_digits: int, current: int) -> None:
     """Lift the interpreter's int<->str conversion limit up to the cap's needs."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return
-    current = sys.get_int_max_str_digits()
     if cap_digits == 0:
         sys.set_int_max_str_digits(0)
     elif current != 0 and 4 * cap_digits > current:
@@ -86,7 +102,7 @@ def _allow_large_int_strings(cap_digits: int) -> None:
 def _parse_natural(text: str, name: str, cap: DigitCap) -> int:
     text = text.strip()
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{name} must be a non-negative decimal integer, got {text!r}")
+        raise _InputError(f"{name} must be a non-negative decimal integer, got {text!r}")
     cap.check_literal(text, name)
     return int(text)
 
@@ -94,36 +110,44 @@ def _parse_natural(text: str, name: str, cap: DigitCap) -> int:
 def _parse_natural_list(text: str, name: str, cap: DigitCap) -> list[int]:
     values = [_parse_natural(item, name, cap) for item in text.split(",") if item.strip()]
     if not values:
-        raise ValueError(f"{name} must list at least one value")
+        raise _InputError(f"{name} must list at least one value")
     return values
 
 
+def _equation(p: int, n: int) -> EquationInstance:
+    try:
+        return EquationInstance(p, n)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
+
+
 def _instance(args: argparse.Namespace, cap: DigitCap) -> EquationInstance:
-    p = _parse_natural(args.p, "p", cap)
-    n = _parse_natural(args.n, "n", cap)
-    return EquationInstance(p, n)
+    return _equation(_parse_natural(args.p, "p", cap), _parse_natural(args.n, "n", cap))
 
 
-def _resolve_workers(value: int | None) -> int:
-    if value is None:
-        return default_workers()
-    if value < 1:
-        raise ValueError("--workers must be >= 1")
+def _box(args: argparse.Namespace, cap: DigitCap) -> SearchBox:
+    return SearchBox(
+        _parse_natural(args.x_max, "x-max", cap),
+        _parse_natural(args.y_max, "y-max", cap),
+    )
+
+
+def _workers(value: int | None) -> int | None:
+    """--workers as given; None leaves the default to the oracle."""
+    if value is not None and value < 1:
+        raise _InputError("--workers must be >= 1")
     return value
 
 
-def _record(command: str, payload, instance: EquationInstance | None, schema_version: str) -> dict:
-    return {
-        "schema_version": schema_version,
+def _emit(command: str, payload, instance: EquationInstance | None = None) -> None:
+    record = {
+        "schema_version": SCHEMA_VERSION,
         "command": command,
         "instance": None
         if instance is None
         else {"p": str(instance.p), "n": str(instance.n)},
         "payload": payload,
     }
-
-
-def _emit(record: dict) -> None:
     print(json.dumps(record))
 
 
@@ -138,7 +162,7 @@ def cmd_classify(args: argparse.Namespace, cap: DigitCap) -> int:
         "no_solutions": result.no_solutions,
         "families": [str(family) for family in result.families],
     }
-    _emit(_record("classify", payload, instance, args.schema_version))
+    _emit("classify", payload, instance)
     return 0
 
 
@@ -153,11 +177,7 @@ def cmd_enumerate(args: argparse.Namespace, cap: DigitCap) -> int:
             print(f"{triple.x}\t{triple.y}\t{triple.z}")
     else:
         for triple in triples:
-            _emit(
-                _record(
-                    "enumerate", _triple_payload(triple), instance, args.schema_version
-                )
-            )
+            _emit("enumerate", _triple_payload(triple), instance)
     return 0
 
 
@@ -175,7 +195,7 @@ def cmd_verify(args: argparse.Namespace, cap: DigitCap) -> int:
     triple = _parse_triple(args, instance, cap)
     certified = verify(instance, triple)
     payload = {**_triple_payload(triple), "certified": certified}
-    _emit(_record("verify", payload, instance, args.schema_version))
+    _emit("verify", payload, instance)
     return 0 if certified else 1
 
 
@@ -192,7 +212,7 @@ def cmd_trace(args: argparse.Namespace, cap: DigitCap) -> int:
         "verdict": trace.verdict,
         "reason": trace.rejection_reason,
     }
-    _emit(_record("trace", payload, instance, args.schema_version))
+    _emit("trace", payload, instance)
     return 0 if trace.accepted else 1
 
 
@@ -202,12 +222,10 @@ def _box_payload(box: SearchBox) -> dict:
 
 def cmd_search(args: argparse.Namespace, cap: DigitCap) -> int:
     instance = _instance(args, cap)
-    box = SearchBox(
-        _parse_natural(args.x_max, "x-max", cap),
-        _parse_natural(args.y_max, "y-max", cap),
-    )
+    box = _box(args, cap)
+    workers = _workers(args.workers)
     cap.check_power(instance.p, max(box.x_max, box.y_max) + 1, "p^x + p^y")
-    report = brute_force(instance, box, workers=_resolve_workers(args.workers))
+    report = brute_force(instance, box, workers=workers)
     payload = {
         "box": _box_payload(box),
         "workers": str(report.workers_used),
@@ -215,83 +233,57 @@ def cmd_search(args: argparse.Namespace, cap: DigitCap) -> int:
         "pairs_checked": str(report.pairs_checked),
         "elapsed_ms": report.elapsed_ms,
     }
-    _emit(_record("search", payload, instance, args.schema_version))
+    _emit("search", payload, instance)
     return 0
 
 
 def cmd_crosscheck(args: argparse.Namespace, cap: DigitCap) -> int:
     primes = _parse_natural_list(args.p, "p", cap)
     ns = _parse_natural_list(args.n, "n", cap)
-    box = SearchBox(
-        _parse_natural(args.x_max, "x-max", cap),
-        _parse_natural(args.y_max, "y-max", cap),
-    )
-    workers = _resolve_workers(args.workers)
+    box = _box(args, cap)
+    workers = _workers(args.workers)
+    instances = [_equation(p, n) for p in primes for n in ns]
+    cap.check_power(max(primes), max(box.x_max, box.y_max) + 1, "p^x + p^y")
     results = []
     all_consistent = True
-    for p in primes:
-        for n in ns:
-            instance = EquationInstance(p, n)
-            cap.check_power(p, max(box.x_max, box.y_max) + 1, "p^x + p^y")
-            outcome = cross_check(instance, box, workers=workers)
-            all_consistent = all_consistent and outcome.consistent
-            results.append(
-                {
-                    "p": str(p),
-                    "n": str(n),
-                    "verdict": outcome.verdict,
-                    "only_brute_force": [
-                        _triple_payload(t) for t in outcome.only_brute_force
-                    ],
-                    "only_families": [
-                        _triple_payload(t) for t in outcome.only_families
-                    ],
-                }
-            )
+    for instance in instances:
+        outcome = cross_check(instance, box, workers=workers)
+        all_consistent = all_consistent and outcome.consistent
+        results.append(
+            {
+                "p": str(instance.p),
+                "n": str(instance.n),
+                "verdict": outcome.verdict,
+                "only_brute_force": [_triple_payload(t) for t in outcome.only_brute_force],
+                "only_families": [_triple_payload(t) for t in outcome.only_families],
+            }
+        )
     payload = {
         "box": _box_payload(box),
         "all_consistent": all_consistent,
         "results": results,
     }
-    _emit(_record("crosscheck", payload, None, args.schema_version))
+    _emit("crosscheck", payload)
     return 0 if all_consistent else 1
 
 
 def cmd_summary(args: argparse.Namespace, cap: DigitCap) -> int:
     del cap
-    regimes = [
-        {
-            "n": "1",
-            "p": "2",
-            "solvable": True,
-            "families": [str(f) for f in classify(EquationInstance(2, 1)).families],
-        },
-        {
-            "n": "1",
-            "p": "3",
-            "solvable": True,
-            "families": [str(f) for f in classify(EquationInstance(3, 1)).families],
-        },
-        {"n": "1", "p": "p>3", "solvable": False, "families": []},
-        {
-            "n": "n>1",
-            "p": "2",
-            "solvable": True,
-            "families": ["x=2s+1, y=2s+1, z=2^((s+1)/n), s>=0, s = n-1 (mod n)"],
-        },
-        {"n": "n>1", "p": "p>=3", "solvable": False, "families": []},
-    ]
+    regimes = []
+    for n_label, p_label, p, n in _REGIMES:
+        families = [
+            str(f) if n == 1 else _SYMBOLIC_N_FAMILY
+            for f in classify(EquationInstance(p, n)).families
+        ]
+        regimes.append(
+            {"n": n_label, "p": p_label, "solvable": bool(families), "families": families}
+        )
     payload = {"equation": "p^x + p^y = z^(2n)", "regimes": regimes}
-    _emit(_record("summary", payload, None, args.schema_version))
+    _emit("summary", payload)
     return 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--schema-version",
-        default=SCHEMA_VERSION,
-        help="echoed verbatim into every output record",
-    )
     parser.add_argument(
         "--digit-cap",
         type=int,
@@ -374,19 +366,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Python 3.10.0-3.10.6 have no int<->str limit to lift or restore.
+    str_limit = (
+        sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    )
     try:
         cap = DigitCap(args.digit_cap)
-        _allow_large_int_strings(cap.digits)
+        if str_limit is not None:
+            _allow_large_int_strings(cap.digits, str_limit)
         return args.func(args, cap)
-    except DigitCapExceededError as exc:
+    except (_InputError, DigitCapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalInconsistencyError as exc:
+    except (InternalInconsistencyError, ValueError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if str_limit is not None:
+            sys.set_int_max_str_digits(str_limit)
 
 
 if __name__ == "__main__":

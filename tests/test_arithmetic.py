@@ -144,7 +144,8 @@ class TestIsPrime:
             assert is_prime(m) == bool(flags[m]), m
 
     def test_probable_prime_boundary(self):
-        # Values just past the trial-division cutoff take the witness path.
+        # Just past the sieve tests' range, still in the (2, 3) witness tier
+        # (2047 <= m < 1_373_653); checked against plain trial division.
         for m in range(1_000_000, 1_000_400):
             assert is_prime(m) == trial_division_is_prime(m), m
 

@@ -1,6 +1,7 @@
 """Tests for the command-line surface: records, formats, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -210,27 +211,73 @@ class TestCrosscheck:
         code, _, err = run(capsys, "crosscheck", "--p", "2,4", "--n", "1")
         assert code == 2 and "prime" in err
 
+    def test_whole_list_checked_before_any_scan(self, capsys, monkeypatch):
+        calls = []
+        original = cli.cross_check
+
+        def counting(instance, box, workers=1):
+            calls.append(instance)
+            return original(instance, box, workers)
+
+        monkeypatch.setattr(cli, "cross_check", counting)
+        code, out, err = run(capsys, "crosscheck", "--p", "2,3,4", "--n", "1,2",
+                             "--x-max", "3000", "--y-max", "3000")
+        assert code == 2 and out == "" and "prime" in err
+        assert calls == []
+
 
 class TestSummary:
     def test_regime_table(self, capsys):
         code, out, _ = run(capsys, "summary")
         assert code == 0
         (record,) = records(out)
-        regimes = record["payload"]["regimes"]
-        assert len(regimes) == 5
-        solvable = [(r["n"], r["p"]) for r in regimes if r["solvable"]]
-        assert solvable == [("1", "2"), ("1", "3"), ("n>1", "2")]
-        unsolvable = [(r["n"], r["p"]) for r in regimes if not r["solvable"]]
-        assert unsolvable == [("1", "p>3"), ("n>1", "p>=3")]
+        assert record["instance"] is None
+        assert record["payload"] == {
+            "equation": "p^x + p^y = z^(2n)",
+            "regimes": [
+                {"n": "1", "p": "2", "solvable": True, "families": [
+                    "x=2s+3, y=2s, z=3*2^s, s>=0",
+                    "x=2s, y=2s+3, z=3*2^s, s>=0",
+                    "x=2s+1, y=2s+1, z=2^(s+1), s>=0",
+                ]},
+                {"n": "1", "p": "3", "solvable": True, "families": [
+                    "x=2s+1, y=2s, z=2*3^s, s>=0",
+                    "x=2s, y=2s+1, z=2*3^s, s>=0",
+                ]},
+                {"n": "1", "p": "p>3", "solvable": False, "families": []},
+                {"n": "n>1", "p": "2", "solvable": True, "families": [
+                    "x=2s+1, y=2s+1, z=2^((s+1)/n), s>=0, s = n-1 (mod n)",
+                ]},
+                {"n": "n>1", "p": "p>=3", "solvable": False, "families": []},
+            ],
+        }
 
 
 class TestProtocol:
-    def test_schema_version_echoed(self, capsys):
-        code, out, _ = run(capsys, "classify", "--p", "2", "--n", "1",
-                           "--schema-version", "experimental-7")
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--p", "2", "--n", "1"),
+        ("enumerate", "--p", "2", "--n", "1", "--max-exponent", "3"),
+        ("verify", "--p", "2", "--n", "1", "-x", "3", "-y", "0", "-z", "3"),
+        ("trace", "--p", "2", "--n", "1", "-x", "3", "-y", "0", "-z", "3"),
+        ("search", "--p", "2", "--n", "1", "--x-max", "3", "--y-max", "3"),
+        ("crosscheck", "--p", "2", "--n", "1", "--x-max", "3", "--y-max", "3"),
+        ("summary",),
+    ])
+    def test_record_envelope(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
         assert code == 0
-        (record,) = records(out)
-        assert record["schema_version"] == "experimental-7"
+        recs = records(out)
+        assert recs
+        for record in recs:
+            assert set(record) == {"schema_version", "command", "instance", "payload"}
+            assert record["schema_version"] == "1"
+            assert record["command"] == argv[0]
+
+    def test_schema_version_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--p", "2", "--n", "1", "--schema-version", "2"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_round_trip_enumerate_to_verify(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--p", "2", "--n", "1",
@@ -259,11 +306,35 @@ class TestProtocol:
         assert code == 2 and "digit" in err
 
     def test_digit_cap_zero_disables(self, capsys):
-        # 2^69999 + 2^69999 = 2^70000 = (2^35000)^2, about 21k digits
+        # 2^69999 + 2^69999 = 2^70000 = (2^35000)^2; z has about 10.5k digits,
+        # past the interpreter's default int-to-str limit, so lift it here.
+        previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if previous is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            z = str(2**35000)
+        finally:
+            if previous is not None:
+                sys.set_int_max_str_digits(previous)
         code, _, _ = run(capsys, "verify", "--p", "2", "--n", "1",
-                         "-x", "69999", "-y", "69999", "-z", str(2**35000),
+                         "-x", "69999", "-y", "69999", "-z", z,
                          "--digit-cap", "0")
         assert code == 0
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this interpreter has no int-to-str digit limit",
+    )
+    @pytest.mark.parametrize("cap", ["0", "5000", "100000"])
+    def test_int_str_limit_restored(self, capsys, cap):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, _, _ = run(capsys, "summary", "--digit-cap", cap)
+            assert code == 0
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     def test_internal_inconsistency_exits_3(self, capsys, monkeypatch):
         def broken(instance, box, workers=1):
@@ -274,6 +345,16 @@ class TestProtocol:
                            "--x-max", "3", "--y-max", "3")
         assert code == 3
         assert "inconsistency" in err
+
+    def test_library_value_error_exits_3(self, capsys, monkeypatch):
+        def broken(instance, triple):
+            raise ValueError("forced for testing")
+
+        monkeypatch.setattr(cli, "verify", broken)
+        code, out, err = run(capsys, "verify", "--p", "2", "--n", "1",
+                             "-x", "3", "-y", "0", "-z", "3")
+        assert code == 3 and out == ""
+        assert "forced for testing" in err
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
