@@ -80,19 +80,43 @@ def integer_root(m: int, k: int) -> RootResult:
 def p_adic_valuation(m: int, p: int) -> tuple[int, int]:
     """Largest e with p^e dividing m, plus the cofactor m / p^e.
 
+    For p = 2, e is the count of trailing zero bits and the cofactor a
+    shift: linear in the size of m. Any other p (composites included) is
+    removed by repeated squaring, as GMP's mpz_remove does (Brent and
+    Zimmermann, Modern Computer Arithmetic, 1.4): divide by p, p^2, p^4, ...
+    while each divides, then settle the rest of e one bit at a time from the
+    largest power down. That is about log2(e) squarings and 2*log2(e)
+    divisions instead of e divisions of an m-sized value by p; the last few,
+    on operands about the size of m, dominate. They are near-linear with a
+    subquadratic division and, with CPython's schoolbook division, a few
+    quadratic passes in C rather than e passes driven from Python.
+
     Raises ValueError for m < 1 (the valuation of 0 is infinite) or p < 2.
     """
     if m < 1:
         raise ValueError("m must be >= 1; the valuation of 0 is infinite")
     if p < 2:
         raise ValueError("p must be >= 2")
-    e = 0
-    while True:
-        quotient, remainder = divmod(m, p)
-        if remainder:
-            return e, m
-        m = quotient
-        e += 1
+    if p == 2:
+        e = (m & -m).bit_length() - 1
+        return e, m >> e
+    if m % p:  # the common case, answered without a call
+        return 0, m
+    return _remove(m, p)
+
+
+def _remove(m: int, q: int) -> tuple[int, int]:
+    """(e, m / q^e) for the largest e with q^e dividing m; m >= 1, q >= 2."""
+    quotient, remainder = divmod(m, q)
+    if remainder:
+        return 0, m
+    # m = q * (q^2)^half * rest with q^2 not dividing rest, so q divides
+    # rest at most once.
+    half, rest = _remove(quotient, q * q)
+    quotient, remainder = divmod(rest, q)
+    if remainder:
+        return 2 * half + 1, rest
+    return 2 * half + 2, quotient
 
 
 def is_prime(m: int) -> bool:

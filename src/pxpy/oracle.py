@@ -195,17 +195,19 @@ def brute_force(
     Each unordered pair {a, b} with a <= b is checked once, a over the
     shorter side of the box and b over the longer, and each hit is reported
     in every orientation that lies in the box. workers=None uses the CPUs
-    this process may run on; the work is split on rows and the merged result
+    this process may run on, and no count starts more workers than that or
+    than the box has rows; the work is split on rows and the merged result
     is sorted, so output is schedule-independent. Boxes under
     _PARALLEL_MIN_PAIRS pairs run inline, as does a box whose pool cannot
     start (with one warning line on stderr).
     """
     started = time.perf_counter()
+    cpus = default_workers()
     if workers is None:
-        workers = default_workers()
+        workers = cpus
     a_max, b_max = sorted((box.x_max, box.y_max))
     rows = tuple(range(a_max + 1))
-    workers = max(1, min(workers, len(rows)))
+    workers = max(1, min(workers, cpus, len(rows)))
     raw = None
     if workers > 1 and box.pairs >= _PARALLEL_MIN_PAIRS:
         raw = _scan_in_pool(instance.p, instance.power, rows, b_max, workers)

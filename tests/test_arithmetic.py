@@ -37,6 +37,19 @@ def trial_division_is_prime(m):
     return True
 
 
+def naive_valuation(m, p):
+    """Independent oracle: peel off one factor of p at a time."""
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return e, m
+
+
+# Primes small and large, and composites: the valuation accepts any p >= 2.
+VALUATION_BASES = (2, 3, 5, 97, 1_000_003, 4, 6, 10)
+
+
 class TestIntegerRoot:
     def test_examples(self):
         assert integer_root(4, 2) == RootResult(2, True)
@@ -117,6 +130,40 @@ class TestPAdicValuation:
         if cofactor % 3 == 0:
             cofactor += 1
         assert p_adic_valuation(3**e * cofactor, 3) == (e, cofactor)
+
+    @given(
+        p=st.sampled_from(VALUATION_BASES),
+        e=st.integers(0, 600),
+        c=st.integers(1, 10**30),
+        divisible=st.booleans(),
+    )
+    def test_matches_naive_division(self, p, e, c, divisible):
+        if divisible:
+            c *= p
+        m = p**e * c
+        assert p_adic_valuation(m, p) == naive_valuation(m, p)
+
+    @pytest.mark.parametrize("p", VALUATION_BASES)
+    def test_pinned_shapes(self, p):
+        for e in (0, 1, 2, 3, 7, 8, 64, 600):
+            assert p_adic_valuation(p**e, p) == (e, 1)
+        for m in range(1, min(p, 200)):
+            assert p_adic_valuation(m, p) == (0, m)
+        assert p_adic_valuation(1, p) == (0, 1)
+
+    def test_composite_bases_count_whole_factors(self):
+        # p = 4 must not count single factors of 2.
+        assert p_adic_valuation(2**7, 4) == (3, 2)
+        assert p_adic_valuation(2**601 * 3, 4) == (300, 6)
+        assert p_adic_valuation(2**5 * 3**9, 6) == (5, 3**4)
+
+    @pytest.mark.parametrize("p, e, cofactor", [
+        (2, 300_000, 3),
+        (3, 100_000, 2),
+        (97, 20_000, 5),
+    ])
+    def test_large_exact(self, p, e, cofactor):
+        assert p_adic_valuation(cofactor * p**e, p) == (e, cofactor)
 
 
 class TestIsPrime:

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -18,6 +19,18 @@ def run(capsys, *argv):
 
 def records(out):
     return [json.loads(line) for line in out.splitlines() if line.strip()]
+
+
+def decimal(value):
+    """str(value) with the interpreter's int-to-str limit lifted, then restored."""
+    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 class TestClassify:
@@ -152,6 +165,23 @@ class TestTrace:
         (record,) = records(out)
         assert record["payload"]["case"] == "Case 1"
         assert record["payload"]["verdict"] == "accepted"
+
+    @pytest.mark.parametrize("p, x, y, z", [
+        (2, 320003, 320000, 3 * 2**160000),
+        (3, 200000, 200001, 2 * 3**100000),
+    ], ids=["p2", "p3"])
+    def test_family_member_at_the_digit_cap_is_fast(self, capsys, p, x, y, z):
+        # Every input under the default digit cap returns in bounded time:
+        # z has about 48k digits, and v_p(z) is e = 160000 or 100000.
+        argv = ["trace", "--p", str(p), "--n", "1",
+                "-x", str(x), "-y", str(y), "-z", decimal(z)]
+        started = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        (record,) = records(out)
+        assert record["payload"]["verdict"] == "accepted"
+        assert elapsed < 1.5
 
     def test_ngt1_trace_reports_w(self, capsys):
         code, out, _ = run(capsys, "trace", "--p", "2", "--n", "2",
@@ -307,17 +337,9 @@ class TestProtocol:
 
     def test_digit_cap_zero_disables(self, capsys):
         # 2^69999 + 2^69999 = 2^70000 = (2^35000)^2; z has about 10.5k digits,
-        # past the interpreter's default int-to-str limit, so lift it here.
-        previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-        if previous is not None:
-            sys.set_int_max_str_digits(0)
-        try:
-            z = str(2**35000)
-        finally:
-            if previous is not None:
-                sys.set_int_max_str_digits(previous)
+        # past the interpreter's default int-to-str limit.
         code, _, _ = run(capsys, "verify", "--p", "2", "--n", "1",
-                         "-x", "69999", "-y", "69999", "-z", z,
+                         "-x", "69999", "-y", "69999", "-z", decimal(2**35000),
                          "--digit-cap", "0")
         assert code == 0
 

@@ -69,8 +69,10 @@ class TestBruteForce:
         assert keys == sorted(set(keys))
 
     def test_worker_count_does_not_change_report(self, monkeypatch):
-        # The threshold is lowered so that worker processes actually engage.
+        # The threshold is lowered so that worker processes actually engage,
+        # and the CPU count raised so that three of them may.
         monkeypatch.setattr(pxpy.oracle, "_PARALLEL_MIN_PAIRS", 0)
+        monkeypatch.setattr(pxpy.oracle, "default_workers", lambda: 3)
         inst = EquationInstance(2, 1)
         box = SearchBox(80, 80)
         serial = brute_force(inst, box, workers=1)
@@ -80,6 +82,36 @@ class TestBruteForce:
         assert serial.solutions == parallel.solutions
         assert serial.workers_used == 1
         assert parallel.workers_used == 3
+
+    def test_workers_capped_at_cpus_and_rows(self, monkeypatch):
+        # A stub executor records the pool size and maps inline, so no
+        # process starts whatever count is asked for.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(pxpy.oracle, "_PARALLEL_MIN_PAIRS", 0)
+        monkeypatch.setattr(pxpy.oracle, "default_workers", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        inst = EquationInstance(2, 1)
+        box = SearchBox(30, 30)
+        report = brute_force(inst, box, workers=100_000)
+        assert report == brute_force(inst, box, workers=1)
+        assert report.workers_used == 4
+        assert brute_force(inst, box, workers=None).workers_used == 4
+        assert brute_force(inst, SearchBox(1, 30), workers=100_000).workers_used == 2
+        assert sizes == [4, 4, 2]
 
     @pytest.mark.parametrize("error", [OSError("no processes"), BrokenProcessPool("worker died")])
     def test_pool_that_cannot_start_falls_back_inline(self, monkeypatch, capsys, error):
