@@ -14,12 +14,8 @@ from .catalan import (
     search_catalan,
 )
 from .classifier import (
-    AffineExpr,
     CaseTrace,
-    Classification,
-    Congruence,
     EquationInstance,
-    PowerExpr,
     SolutionFamily,
     SolutionTriple,
     classify,
@@ -41,16 +37,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DETERMINISTIC_PRIMALITY_BOUND",
-    "AffineExpr",
     "CaseTrace",
     "CatalanInstance",
-    "Classification",
-    "Congruence",
     "CrossCheckResult",
     "DigitCapExceededError",
     "EquationInstance",
     "InternalInconsistencyError",
-    "PowerExpr",
     "RootResult",
     "SearchBox",
     "SearchReport",

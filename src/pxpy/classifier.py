@@ -9,11 +9,14 @@ short list of one-parameter families in s:
     n > 1, p = 2:   (2s+1, 2s+1, 2^((s+1)/n))  with s = n-1 (mod n)
     n > 1, p >= 3:  no solutions
 
-`classify` emits the families symbolically, `instantiate` and
-`enumerate_solutions` turn them into concrete triples, `verify` checks a
-candidate directly against the equation (the only place it is evaluated),
-and `trace_candidate` replays the case analysis behind the classification
-to explain any verdict.
+Every family has one shape, x = 2s + a, y = 2s + b, z = c*p^((s+d)/n), valid
+for each s >= 0 with n | s + d; the n > 1 family above is (a, b, c, d) =
+(1, 1, 1, 1). `classify` returns the families as `SolutionFamily` records,
+plain data holding the instance and (a, b, c, d). `instantiate` (the only
+evaluator of a family) and `enumerate_solutions` turn them into concrete
+triples, `verify` checks a candidate directly against the equation (the
+only place it is evaluated), and `trace_candidate` replays the case
+analysis behind the classification to explain any verdict.
 
 Everything here is pure and immutable; values are safe to share across
 threads.
@@ -27,12 +30,8 @@ from .arithmetic import eval_lhs, is_prime, p_adic_valuation
 from .errors import InternalInconsistencyError
 
 __all__ = [
-    "AffineExpr",
     "CaseTrace",
-    "Classification",
-    "Congruence",
     "EquationInstance",
-    "PowerExpr",
     "SolutionFamily",
     "SolutionTriple",
     "classify",
@@ -79,100 +78,42 @@ class SolutionTriple:
 
 
 @dataclass(frozen=True, slots=True)
-class AffineExpr:
-    """coeff*s + offset over the parameter s."""
-
-    coeff: int
-    offset: int
-
-    def __call__(self, s: int) -> int:
-        return self.coeff * s + self.offset
-
-    def __str__(self) -> str:
-        if self.coeff == 0:
-            return str(self.offset)
-        head = "s" if self.coeff == 1 else f"{self.coeff}s"
-        return head if self.offset == 0 else f"{head}+{self.offset}"
-
-
-@dataclass(frozen=True, slots=True)
-class Congruence:
-    """s = residue (mod modulus); modulus 1 accepts every s."""
-
-    modulus: int
-    residue: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-
-    def holds(self, s: int) -> bool:
-        return s % self.modulus == self.residue % self.modulus
-
-    def __str__(self) -> str:
-        if self.modulus == 1:
-            return "any s"
-        return f"s = {self.residue % self.modulus} (mod {self.modulus})"
-
-
-@dataclass(frozen=True, slots=True)
-class PowerExpr:
-    """scale * base^((coeff*s + offset) / divisor); the division must be exact."""
-
-    scale: int
-    base: int
-    exponent: AffineExpr
-    divisor: int = 1
-
-    def __call__(self, s: int) -> int:
-        numerator = self.exponent(s)
-        quotient, remainder = divmod(numerator, self.divisor)
-        if remainder:
-            raise ValueError(
-                f"exponent {numerator} is not divisible by {self.divisor}"
-            )
-        return self.scale * self.base**quotient
-
-    def __str__(self) -> str:
-        exp = str(self.exponent)
-        if "+" in exp:
-            exp = f"({exp})"
-        if self.divisor != 1:
-            exp = f"({exp}/{self.divisor})"
-        head = "" if self.scale == 1 else f"{self.scale}*"
-        return f"{head}{self.base}^{exp}"
-
-
-@dataclass(frozen=True, slots=True)
 class SolutionFamily:
-    """A one-parameter family of solutions: expressions in s plus a congruence.
+    """x = 2s + x_offset, y = 2s + y_offset, z = scale * p^((s + shift) / n).
 
-    For every s >= 0 satisfying s_condition, instantiation yields a certified
-    triple.
+    p and n come from the instance. Every s >= 0 with n | s + shift yields a
+    solution; that divisibility is the family's only condition.
     """
 
-    x_expr: AffineExpr
-    y_expr: AffineExpr
-    z_expr: PowerExpr
-    s_condition: Congruence
+    instance: EquationInstance
+    x_offset: int
+    y_offset: int
+    scale: int
+    shift: int
+
+    def _condition(self) -> str:
+        n = self.instance.n
+        return f"s = {-self.shift % n} (mod {n})"
 
     def __str__(self) -> str:
-        parts = [f"x={self.x_expr}", f"y={self.y_expr}", f"z={self.z_expr}", "s>=0"]
-        if self.s_condition.modulus != 1:
-            parts.append(str(self.s_condition))
+        p, n = self.instance.p, self.instance.n
+        exponent = f"(s+{self.shift})" if self.shift else "s"
+        if n != 1:
+            exponent = f"({exponent}/{n})"
+        head = "" if self.scale == 1 else f"{self.scale}*"
+        parts = [
+            f"x={_double_s(self.x_offset)}",
+            f"y={_double_s(self.y_offset)}",
+            f"z={head}{p}^{exponent}",
+            "s>=0",
+        ]
+        if n != 1:
+            parts.append(self._condition())
         return ", ".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
-    """The full solution set of an instance, as a tuple of families."""
-
-    instance: EquationInstance
-    families: tuple[SolutionFamily, ...]
-
-    @property
-    def no_solutions(self) -> bool:
-        return not self.families
+def _double_s(offset: int) -> str:
+    return f"2s+{offset}" if offset else "2s"
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,68 +136,42 @@ class CaseTrace:
         return "accepted" if self.accepted else "rejected"
 
 
-_ANY_S = Congruence(1, 0)
-
 _PRECASE_Z_ZERO = "Pre-case (z = 0)"
 
 
-def classify(instance: EquationInstance) -> Classification:
-    """The complete solution classification of p^x + p^y = z^(2n)."""
+def classify(instance: EquationInstance) -> tuple[SolutionFamily, ...]:
+    """The complete solution set of p^x + p^y = z^(2n), as families.
+
+    An empty tuple means the instance has no solutions.
+    """
     p, n = instance.p, instance.n
-    if n == 1:
-        if p == 2:
-            families = (
-                SolutionFamily(
-                    AffineExpr(2, 3), AffineExpr(2, 0),
-                    PowerExpr(3, 2, AffineExpr(1, 0)), _ANY_S,
-                ),
-                SolutionFamily(
-                    AffineExpr(2, 0), AffineExpr(2, 3),
-                    PowerExpr(3, 2, AffineExpr(1, 0)), _ANY_S,
-                ),
-                SolutionFamily(
-                    AffineExpr(2, 1), AffineExpr(2, 1),
-                    PowerExpr(1, 2, AffineExpr(1, 1)), _ANY_S,
-                ),
-            )
-        elif p == 3:
-            families = (
-                SolutionFamily(
-                    AffineExpr(2, 1), AffineExpr(2, 0),
-                    PowerExpr(2, 3, AffineExpr(1, 0)), _ANY_S,
-                ),
-                SolutionFamily(
-                    AffineExpr(2, 0), AffineExpr(2, 1),
-                    PowerExpr(2, 3, AffineExpr(1, 0)), _ANY_S,
-                ),
-            )
-        else:
-            families = ()
+    if n == 1 and p == 2:
+        rows = ((3, 0, 3, 0), (0, 3, 3, 0), (1, 1, 1, 1))
+    elif n == 1 and p == 3:
+        rows = ((1, 0, 2, 0), (0, 1, 2, 0))
     elif p == 2:
-        families = (
-            SolutionFamily(
-                AffineExpr(2, 1), AffineExpr(2, 1),
-                PowerExpr(1, 2, AffineExpr(1, 1), divisor=n),
-                Congruence(n, n - 1),
-            ),
-        )
+        rows = ((1, 1, 1, 1),)
     else:
-        families = ()
-    return Classification(instance, families)
+        rows = ()
+    return tuple(SolutionFamily(instance, *row) for row in rows)
 
 
-def instantiate(
-    family: SolutionFamily, s: int, instance: EquationInstance
-) -> SolutionTriple:
+def instantiate(family: SolutionFamily, s: int) -> SolutionTriple:
     """Evaluate a family at parameter s, certifying the result.
 
-    Raises ValueError when s is negative or violates the family's congruence.
+    Raises ValueError when s is negative or n does not divide s + shift.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    if not family.s_condition.holds(s):
-        raise ValueError(f"s={s} violates the family condition {family.s_condition}")
-    triple = SolutionTriple(family.x_expr(s), family.y_expr(s), family.z_expr(s))
+    instance = family.instance
+    exponent, remainder = divmod(s + family.shift, instance.n)
+    if remainder:
+        raise ValueError(f"s={s} violates the family condition {family._condition()}")
+    triple = SolutionTriple(
+        2 * s + family.x_offset,
+        2 * s + family.y_offset,
+        family.scale * instance.p**exponent,
+    )
     if not verify(instance, triple):
         raise InternalInconsistencyError(
             f"family {family} at s={s} produced {triple.as_tuple()}, which does "
@@ -284,14 +199,11 @@ def enumerate_solutions(
     if max_exponent < 0 or y_max < 0:
         raise ValueError("max_exponent and y_max must be >= 0")
     found: set[SolutionTriple] = set()
-    for family in classify(instance).families:
-        s = family.s_condition.residue % family.s_condition.modulus
-        step = family.s_condition.modulus
-        while True:
-            if family.x_expr(s) > max_exponent or family.y_expr(s) > y_max:
-                break
-            found.add(instantiate(family, s, instance))
-            s += step
+    n = instance.n
+    for family in classify(instance):
+        s_max = min((max_exponent - family.x_offset) // 2, (y_max - family.y_offset) // 2)
+        for s in range(-family.shift % n, s_max + 1, n):
+            found.add(instantiate(family, s))
     return sorted(found)
 
 

@@ -39,6 +39,10 @@ DEFAULT_CROSSCHECK_BOUND = "14"
 _LOG2_10_NUM = 332_193
 _LOG2_10_DEN = 100_000
 
+# The largest limit sys.set_int_max_str_digits accepts (a C int); a cap that
+# needs more lifts the limit entirely, as a disabled cap does.
+_C_INT_MAX = 2**31 - 1
+
 # classify renders the n>1, p=2 family for one concrete n; the summary states
 # it for every n, and perfbench's cli workload pins this text byte for byte.
 _SYMBOLIC_N_FAMILY = "x=2s+1, y=2s+1, z=2^((s+1)/n), s>=0, s = n-1 (mod n)"
@@ -93,10 +97,11 @@ class DigitCap:
 
 def _allow_large_int_strings(cap_digits: int, current: int) -> None:
     """Lift the interpreter's int<->str conversion limit up to the cap's needs."""
-    if cap_digits == 0:
+    needed = 4 * cap_digits
+    if cap_digits == 0 or needed > _C_INT_MAX:
         sys.set_int_max_str_digits(0)
-    elif current != 0 and 4 * cap_digits > current:
-        sys.set_int_max_str_digits(4 * cap_digits)
+    elif current != 0 and needed > current:
+        sys.set_int_max_str_digits(needed)
 
 
 def _parse_natural(text: str, name: str, cap: DigitCap) -> int:
@@ -104,7 +109,10 @@ def _parse_natural(text: str, name: str, cap: DigitCap) -> int:
     if not (text.isascii() and text.isdigit()):
         raise _InputError(f"{name} must be a non-negative decimal integer, got {text!r}")
     cap.check_literal(text, name)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # only a --digit-cap literal can outrun the int-to-str limit
+        raise _InputError(f"{name} has more digits than this interpreter converts") from None
 
 
 def _parse_natural_list(text: str, name: str, cap: DigitCap) -> list[int]:
@@ -132,9 +140,12 @@ def _box(args: argparse.Namespace, cap: DigitCap) -> SearchBox:
     )
 
 
-def _workers(value: int | None) -> int | None:
+def _workers(args: argparse.Namespace, cap: DigitCap) -> int | None:
     """--workers as given; None leaves the default to the oracle."""
-    if value is not None and value < 1:
+    if args.workers is None:
+        return None
+    value = _parse_natural(args.workers, "--workers", cap)
+    if value < 1:
         raise _InputError("--workers must be >= 1")
     return value
 
@@ -157,10 +168,10 @@ def _triple_payload(triple: SolutionTriple) -> dict:
 
 def cmd_classify(args: argparse.Namespace, cap: DigitCap) -> int:
     instance = _instance(args, cap)
-    result = classify(instance)
+    families = classify(instance)
     payload = {
-        "no_solutions": result.no_solutions,
-        "families": [str(family) for family in result.families],
+        "no_solutions": not families,
+        "families": [str(family) for family in families],
     }
     _emit("classify", payload, instance)
     return 0
@@ -223,7 +234,7 @@ def _box_payload(box: SearchBox) -> dict:
 def cmd_search(args: argparse.Namespace, cap: DigitCap) -> int:
     instance = _instance(args, cap)
     box = _box(args, cap)
-    workers = _workers(args.workers)
+    workers = _workers(args, cap)
     cap.check_power(instance.p, max(box.x_max, box.y_max) + 1, "p^x + p^y")
     report = brute_force(instance, box, workers=workers)
     payload = {
@@ -241,7 +252,7 @@ def cmd_crosscheck(args: argparse.Namespace, cap: DigitCap) -> int:
     primes = _parse_natural_list(args.p, "p", cap)
     ns = _parse_natural_list(args.n, "n", cap)
     box = _box(args, cap)
-    workers = _workers(args.workers)
+    workers = _workers(args, cap)
     instances = [_equation(p, n) for p in primes for n in ns]
     cap.check_power(max(primes), max(box.x_max, box.y_max) + 1, "p^x + p^y")
     results = []
@@ -273,7 +284,7 @@ def cmd_summary(args: argparse.Namespace, cap: DigitCap) -> int:
     for n_label, p_label, p, n in _REGIMES:
         families = [
             str(f) if n == 1 else _SYMBOLIC_N_FAMILY
-            for f in classify(EquationInstance(p, n)).families
+            for f in classify(EquationInstance(p, n))
         ]
         regimes.append(
             {"n": n_label, "p": p_label, "solvable": bool(families), "families": families}
@@ -286,8 +297,7 @@ def cmd_summary(args: argparse.Namespace, cap: DigitCap) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--digit-cap",
-        type=int,
-        default=DEFAULT_DIGIT_CAP,
+        default=str(DEFAULT_DIGIT_CAP),
         help="refuse computations beyond this many decimal digits; 0 disables"
         f" (default {DEFAULT_DIGIT_CAP})",
     )
@@ -342,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance(sp)
     sp.add_argument("--x-max", required=True, metavar="XMAX")
     sp.add_argument("--y-max", required=True, metavar="YMAX")
-    sp.add_argument("--workers", type=int, default=None, metavar="W")
+    sp.add_argument("--workers", default=None, metavar="W")
     _add_common(sp)
     sp.set_defaults(func=cmd_search)
 
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", default=DEFAULT_CROSSCHECK_NS, metavar="N[,N...]")
     sp.add_argument("--x-max", default=DEFAULT_CROSSCHECK_BOUND, metavar="XMAX")
     sp.add_argument("--y-max", default=DEFAULT_CROSSCHECK_BOUND, metavar="YMAX")
-    sp.add_argument("--workers", type=int, default=None, metavar="W")
+    sp.add_argument("--workers", default=None, metavar="W")
     _add_common(sp)
     sp.set_defaults(func=cmd_crosscheck)
 
@@ -371,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     )
     try:
-        cap = DigitCap(args.digit_cap)
+        cap = DigitCap(_parse_natural(args.digit_cap, "--digit-cap", DigitCap(0)))
         if str_limit is not None:
             _allow_large_int_strings(cap.digits, str_limit)
         return args.func(args, cap)

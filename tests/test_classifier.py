@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pxpy.classifier import (
-    Congruence,
     EquationInstance,
+    SolutionFamily,
     SolutionTriple,
     classify,
     enumerate_solutions,
@@ -54,75 +54,119 @@ class TestSolutionTriple:
 
 class TestClassify:
     def test_p2_n1_has_three_families(self):
-        result = classify(EquationInstance(2, 1))
-        assert not result.no_solutions
-        assert [str(f) for f in result.families] == [
+        families = classify(EquationInstance(2, 1))
+        assert [str(f) for f in families] == [
             "x=2s+3, y=2s, z=3*2^s, s>=0",
             "x=2s, y=2s+3, z=3*2^s, s>=0",
             "x=2s+1, y=2s+1, z=2^(s+1), s>=0",
         ]
 
     def test_p3_n1_has_two_families(self):
-        result = classify(EquationInstance(3, 1))
-        assert [str(f) for f in result.families] == [
+        families = classify(EquationInstance(3, 1))
+        assert [str(f) for f in families] == [
             "x=2s+1, y=2s, z=2*3^s, s>=0",
             "x=2s, y=2s+1, z=2*3^s, s>=0",
         ]
 
     def test_large_p_n1_has_none(self):
         for p in (5, 7, 11, 97):
-            result = classify(EquationInstance(p, 1))
-            assert result.no_solutions
-            assert result.families == ()
+            assert classify(EquationInstance(p, 1)) == ()
 
     def test_p2_n3_single_congruence_family(self):
-        result = classify(EquationInstance(2, 3))
-        assert len(result.families) == 1
-        family = result.families[0]
+        inst = EquationInstance(2, 3)
+        (family,) = classify(inst)
         assert str(family) == "x=2s+1, y=2s+1, z=2^((s+1)/3), s>=0, s = 2 (mod 3)"
-        assert family.s_condition == Congruence(3, 2)
+        # The condition s = 2 (mod 3) is 3 | s + shift with shift = 1.
+        assert family == SolutionFamily(inst, 1, 1, 1, 1)
 
     def test_odd_p_ngt1_has_none(self):
         for p, n in [(3, 2), (5, 2), (3, 3), (7, 4)]:
-            assert classify(EquationInstance(p, n)).no_solutions
+            assert classify(EquationInstance(p, n)) == ()
 
     def test_families_pairwise_distinct(self):
         for p, n in [(2, 1), (3, 1), (2, 2), (2, 5)]:
-            fams = classify(EquationInstance(p, n)).families
+            fams = classify(EquationInstance(p, n))
             assert len(set(fams)) == len(fams)
+
+
+def expected_family_texts(p, n):
+    """The paper's families for (p, n), spelled as classify renders them."""
+    if (p, n) == (2, 1):
+        return [
+            "x=2s+3, y=2s, z=3*2^s, s>=0",
+            "x=2s, y=2s+3, z=3*2^s, s>=0",
+            "x=2s+1, y=2s+1, z=2^(s+1), s>=0",
+        ]
+    if (p, n) == (3, 1):
+        return ["x=2s+1, y=2s, z=2*3^s, s>=0", "x=2s, y=2s+1, z=2*3^s, s>=0"]
+    if p == 2:
+        return [f"x=2s+1, y=2s+1, z=2^((s+1)/{n}), s>=0, s = {n - 1} (mod {n})"]
+    return []
+
+
+def expected_solutions(p, n, x_max, y_max):
+    """Every solution with x <= x_max and y <= y_max, from the closed forms."""
+    found = set()
+    for s in range(max(x_max, y_max) + 1):
+        if (p, n) == (2, 1):
+            found |= {(2 * s + 3, 2 * s, 3 * 2**s), (2 * s, 2 * s + 3, 3 * 2**s)}
+        if (p, n) == (3, 1):
+            found |= {(2 * s + 1, 2 * s, 2 * 3**s), (2 * s, 2 * s + 1, 2 * 3**s)}
+        if p == 2 and s >= 1:
+            # x = y = 2sn - 1 and z = 2^s; for n = 1 the third p = 2 family.
+            found.add((2 * s * n - 1, 2 * s * n - 1, 2**s))
+    return sorted(t for t in found if t[0] <= x_max and t[1] <= y_max)
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 97])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_classify_and_enumerate_match_the_table(self, p, n):
+        inst = EquationInstance(p, n)
+        assert [str(f) for f in classify(inst)] == expected_family_texts(p, n)
+        assert [t.as_tuple() for t in enumerate_solutions(inst, 40, 40)] == (
+            expected_solutions(p, n, 40, 40)
+        )
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_instantiate_rejects_every_inadmissible_s(self, n):
+        (family,) = classify(EquationInstance(2, n))
+        for s in range(13):
+            if (s + 1) % n:
+                with pytest.raises(ValueError, match=rf"\(mod {n}\)"):
+                    instantiate(family, s)
 
 
 class TestInstantiate:
     def test_examples(self):
         inst = EquationInstance(2, 1)
-        fams = classify(inst).families
-        assert instantiate(fams[0], 0, inst) == SolutionTriple(3, 0, 3)
-        assert instantiate(fams[2], 0, inst) == SolutionTriple(1, 1, 2)
-        inst22 = EquationInstance(2, 2)
-        family = classify(inst22).families[0]
-        assert instantiate(family, 1, inst22) == SolutionTriple(3, 3, 2)
+        fams = classify(inst)
+        assert instantiate(fams[0], 0) == SolutionTriple(3, 0, 3)
+        assert instantiate(fams[2], 0) == SolutionTriple(1, 1, 2)
+        (family,) = classify(EquationInstance(2, 2))
+        assert instantiate(family, 1) == SolutionTriple(3, 3, 2)
 
     def test_congruence_violation_names_the_congruence(self):
         inst = EquationInstance(2, 2)
-        family = classify(inst).families[0]
+        (family,) = classify(inst)
         with pytest.raises(ValueError, match=r"\(mod 2\)"):
-            instantiate(family, 0, inst)
+            instantiate(family, 0)
 
     def test_negative_s_rejected(self):
         inst = EquationInstance(2, 1)
-        family = classify(inst).families[0]
+        family = classify(inst)[0]
         with pytest.raises(ValueError):
-            instantiate(family, -1, inst)
+            instantiate(family, -1)
 
     def test_soundness_up_to_s_12(self):
         # Every family evaluated at every admissible s <= 12 certifies.
         for p, n in [(2, 1), (3, 1), (2, 2), (2, 3), (2, 4)]:
             inst = EquationInstance(p, n)
-            for family in classify(inst).families:
+            for family in classify(inst):
                 for s in range(13):
-                    if not family.s_condition.holds(s):
+                    if (s + family.shift) % n:
                         continue
-                    triple = instantiate(family, s, inst)
+                    triple = instantiate(family, s)
                     assert verify(inst, triple), (p, n, s)
 
 
@@ -338,12 +382,8 @@ class TestEnumerate:
 
 class TestInternalCertification:
     def test_instantiate_certifies_internally(self):
-        # A structurally broken family must be caught at instantiation time.
-        from pxpy.classifier import AffineExpr, PowerExpr, SolutionFamily
-
-        bogus = SolutionFamily(
-            AffineExpr(2, 3), AffineExpr(2, 0), PowerExpr(5, 2, AffineExpr(1, 0)),
-            Congruence(1, 0),
-        )
+        # A structurally broken family must be caught at instantiation time:
+        # (2s+3, 2s, 5*2^s) is the first p = 2 family with a wrong scale.
+        bogus = SolutionFamily(EquationInstance(2, 1), 3, 0, 5, 0)
         with pytest.raises(InternalInconsistencyError):
-            instantiate(bogus, 0, EquationInstance(2, 1))
+            instantiate(bogus, 0)

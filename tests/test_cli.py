@@ -347,13 +347,45 @@ class TestProtocol:
         not hasattr(sys, "set_int_max_str_digits"),
         reason="this interpreter has no int-to-str digit limit",
     )
-    @pytest.mark.parametrize("cap", ["0", "5000", "100000"])
+    @pytest.mark.parametrize("cap", ["0", "5000", "100000", "536870912", str(10**30)])
     def test_int_str_limit_restored(self, capsys, cap):
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
             code, _, _ = run(capsys, "summary", "--digit-cap", cap)
             assert code == 0
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "--p", "2", "--n", "1", "--x-max", "4", "--y-max", "4", "--workers", "1_0"),
+            ("search", "--p", "2", "--n", "1", "--x-max", "4", "--y-max", "4", "--workers", "+2"),
+            ("crosscheck", "--workers", "\u0661"),
+            ("summary", "--digit-cap", "\u0661\u0660"),
+            ("summary", "--digit-cap", "1_000"),
+        ],
+    )
+    def test_option_numbers_are_ascii_decimal(self, capsys, argv):
+        # --workers and --digit-cap go through the same parser as every
+        # other number, so int()'s extra spellings are bad input.
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and argv[-2] in err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="this interpreter has no int-to-str digit limit",
+    )
+    def test_digit_cap_past_the_int_str_limit_exits_2(self, capsys):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = run(capsys, "summary", "--digit-cap", "9" * 5000)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "--digit-cap" in err
             assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(previous)
