@@ -62,6 +62,8 @@ def integer_root(m: int, k: int) -> RootResult:
         raise ValueError("radicand must be non-negative")
     if k == 1 or m < 2:
         return RootResult(m, True)
+    if k >= m.bit_length():  # 2 <= m < 2^k: the floor root is 1, inexact
+        return RootResult(1, False)
     # Start above the true root (2^ceil(bits/k)); the iteration then
     # decreases monotonically onto the floor.
     x = 1 << -(-m.bit_length() // k)

@@ -120,16 +120,21 @@ def _double_s(offset: int) -> str:
 class CaseTrace:
     """Which case of the analysis accepted or rejected a candidate.
 
-    e and k are set on the x != y paths of the n = 1 analysis, where
-    z = p^e * k with p not dividing k; w = z^n is set whenever n > 1.
+    A trace is a rejection iff it carries a rejection_reason; the derived
+    properties accepted and verdict read that one field. e and k are set on
+    the x != y paths of the n = 1 analysis, where z = p^e * k with p not
+    dividing k; w = z^n is set whenever n > 1.
     """
 
     case_label: str
-    accepted: bool
     e: int | None = None
     k: int | None = None
     w: int | None = None
     rejection_reason: str | None = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.rejection_reason is None
 
     @property
     def verdict(self) -> str:
@@ -219,7 +224,6 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
     if z == 0:
         return CaseTrace(
             _PRECASE_Z_ZERO,
-            False,
             rejection_reason=f"{p}^x + {p}^y >= 2 while 0^{2 * n} = 0",
         )
     if n == 1:
@@ -231,7 +235,7 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
     inner = _trace_square(p, x, y, w, root_name="w")
     if inner.accepted:
         if p == 2 and inner.case_label == "Case 1":
-            return CaseTrace("n>1 Case 1.2", True, w=w)
+            return CaseTrace("n>1 Case 1.2", w=w)
         # Case 1.1 (w = 3*2^s) and its p = 3 analogue (w = 2*3^s) require w
         # to carry a prime factor to the first power, impossible for w = z^n
         # with n > 1. Reaching this line means the arithmetic is broken.
@@ -249,7 +253,7 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
         f"(x, y, w) with w = z^{n} must solve the square equation, "
         f"which rejects it at {inner.case_label}: {inner.rejection_reason}"
     )
-    return CaseTrace(label, False, w=w, rejection_reason=reason)
+    return CaseTrace(label, w=w, rejection_reason=reason)
 
 
 def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseTrace:
@@ -263,7 +267,6 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
         if p != 2:
             return CaseTrace(
                 "Case 1",
-                False,
                 rejection_reason=(
                     f"x = y gives 2*{p}^{x} = {root_name}^2, whose 2-adic "
                     "valuation is odd for odd p"
@@ -272,7 +275,6 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
         if x % 2 == 0:
             return CaseTrace(
                 "Case 1",
-                False,
                 rejection_reason=(
                     f"x = y = {x} gives {root_name}^2 = 2^{x + 1} with an "
                     "odd exponent, which is not a perfect square"
@@ -281,13 +283,12 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
         if z != 2 ** ((x + 1) // 2):
             return CaseTrace(
                 "Case 1",
-                False,
                 rejection_reason=(
                     f"x = y = {x} forces {root_name} = 2^{(x + 1) // 2}; "
                     f"got another {root_name}"
                 ),
             )
-        return CaseTrace("Case 1", True)
+        return CaseTrace("Case 1")
 
     # Cases 2 and 3 mirror each other under the x <-> y swap; analyse with
     # lo < hi and label the swapped orientation as Case 3.
@@ -309,40 +310,38 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
     if p == 2:
         if d == 1:
             return CaseTrace(
-                label("2.1"), False, e=e, k=k,
+                label("2.1"), e=e, k=k,
                 rejection_reason="k^2 = 1 + 2 = 3 has no integer solution",
             )
         if not gate:
-            return CaseTrace(label("2.2"), False, e=e, k=k, rejection_reason=gate_reason)
+            return CaseTrace(label("2.2"), e=e, k=k, rejection_reason=gate_reason)
         if k != 3 or d != 3:
             return CaseTrace(
-                label("2.2"), False, e=e, k=k,
+                label("2.2"), e=e, k=k,
                 rejection_reason=(
                     f"k^2 - 2^d = 1 with d > 1 forces (k, d) = (3, 3) by "
                     f"Mihailescu's theorem; got d = {d}, k {'=' if k == 3 else '!='} 3"
                 ),
             )
-        return CaseTrace(label("2.2"), True, e=e, k=k)
+        return CaseTrace(label("2.2"), e=e, k=k)
     if p == 3:
         if d == 1:
             if not gate:
-                return CaseTrace(
-                    label("2.3"), False, e=e, k=k, rejection_reason=gate_reason
-                )
+                return CaseTrace(label("2.3"), e=e, k=k, rejection_reason=gate_reason)
             if k != 2:
                 return CaseTrace(
-                    label("2.3"), False, e=e, k=k,
+                    label("2.3"), e=e, k=k,
                     rejection_reason="k^2 = 1 + 3 = 4 forces k = 2; got k != 2",
                 )
-            return CaseTrace(label("2.3"), True, e=e, k=k)
+            return CaseTrace(label("2.3"), e=e, k=k)
         return CaseTrace(
-            label("2.4"), False, e=e, k=k,
+            label("2.4"), e=e, k=k,
             rejection_reason=(
                 f"k^2 - 3^d = 1 with d = {d} > 1 has no solution by "
                 "Mihailescu's theorem"
             ),
         )
     return CaseTrace(
-        label("2.5"), False, e=e, k=k,
+        label("2.5"), e=e, k=k,
         rejection_reason=f"1 + {p}^d is never a perfect square for prime {p} > 3",
     )

@@ -7,13 +7,15 @@ arbitrary precision survives serialization.
 Each command parses and checks all of its input before it computes
 anything. Exit codes: 0 success / certified / consistent; 1 well-formed
 negative result; 2 invalid input or digit cap exceeded, always refused before
-any computation; 3 internal error (any other failure is a library bug).
+any computation; 3 internal error (any other failure is a library bug); 141
+the reader closed stdout (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classifier import (
@@ -24,7 +26,7 @@ from .classifier import (
     trace_candidate,
     verify,
 )
-from .errors import DigitCapExceededError, InternalInconsistencyError
+from .errors import InternalInconsistencyError
 from .oracle import SearchBox, brute_force, cross_check
 
 SCHEMA_VERSION = "1"
@@ -58,7 +60,7 @@ _REGIMES = (
 
 
 class _InputError(Exception):
-    """Invalid command-line input: exits 2, as a digit-cap refusal does."""
+    """Input refused before any computation, invalid or past the digit cap: exits 2."""
 
 
 class DigitCap:
@@ -77,7 +79,7 @@ class DigitCap:
 
     def check_literal(self, text: str, name: str) -> None:
         if self.digits and len(text) > self.digits:
-            raise DigitCapExceededError(
+            raise _InputError(
                 f"{name} has {len(text)} digits; the cap is {self.digits} "
                 "(adjust with --digit-cap)"
             )
@@ -89,7 +91,7 @@ class DigitCap:
         # reaches 10^digits the result certainly exceeds the cap.
         low_bits = exponent * (base.bit_length() - 1)
         if low_bits * _LOG2_10_DEN >= self.digits * _LOG2_10_NUM:
-            raise DigitCapExceededError(
+            raise _InputError(
                 f"{name} would exceed the {self.digits}-digit cap "
                 "(adjust with --digit-cap)"
             )
@@ -385,9 +387,14 @@ def main(argv: list[str] | None = None) -> int:
         if str_limit is not None:
             _allow_large_int_strings(cap.digits, str_limit)
         return args.func(args, cap)
-    except (_InputError, DigitCapExceededError) as exc:
+    except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout; point it at devnull so the interpreter's
+        # final flush stays quiet, and exit as a shell reports SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (InternalInconsistencyError, ValueError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["InternalInconsistencyError"]
+
 
 class InternalInconsistencyError(RuntimeError):
     """A computation contradicted a fact the code is built on.
@@ -7,12 +9,4 @@ class InternalInconsistencyError(RuntimeError):
     Raised when an internal cross-check fails, e.g. a bounded search "finds"
     a solution to an equation known to have none. Always indicates an
     implementation bug, never bad user input; the CLI maps it to exit code 3.
-    """
-
-
-class DigitCapExceededError(RuntimeError):
-    """A requested computation would exceed the configured decimal-digit cap.
-
-    A resource refusal, not a wrong answer: the computation is declined
-    before any oversized integer is materialized.
     """

@@ -35,7 +35,6 @@ __all__ = [
     "SearchReport",
     "brute_force",
     "cross_check",
-    "default_workers",
 ]
 
 # Boxes below this many (x, y) pairs run inline: process startup would cost
@@ -80,17 +79,21 @@ class SearchBox:
 class SearchReport:
     """Everything a bounded search found, plus how much work it did.
 
-    elapsed_ms and workers_used (1 when the box ran inline) are excluded
-    from equality so reports from runs with different worker counts compare
-    equal.
+    Every search checks the whole box, so the derived pairs_checked is
+    box.pairs. elapsed_ms and workers_used (1 when the box ran inline) are
+    excluded from equality so reports from runs with different worker
+    counts compare equal.
     """
 
     instance: EquationInstance
     box: SearchBox
     solutions: tuple[SolutionTriple, ...]
-    pairs_checked: int
     elapsed_ms: float = field(compare=False)
     workers_used: int = field(default=1, compare=False)
+
+    @property
+    def pairs_checked(self) -> int:
+        return self.box.pairs
 
 
 @lru_cache(maxsize=256)
@@ -226,7 +229,7 @@ def brute_force(
                 f"search reported {triple.as_tuple()}, which fails re-checking"
             )
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return SearchReport(instance, box, solutions, box.pairs, elapsed_ms, workers)
+    return SearchReport(instance, box, solutions, elapsed_ms, workers)
 
 
 @dataclass(frozen=True, slots=True)

@@ -78,6 +78,19 @@ class TestIntegerRoot:
                 assert result.root == root, (m, k)
                 assert result.exact == (root**k == m), (m, k)
 
+    @pytest.mark.parametrize("m", [2, 3, 2**40, 2**40 + 1, 3**50, 10**30 - 1])
+    def test_degree_at_the_bit_length(self, m):
+        # At k >= m.bit_length() the floor root is 1; the boundary and both
+        # neighbours are checked against the definition.
+        for k in (m.bit_length() - 1, m.bit_length(), m.bit_length() + 1):
+            result = integer_root(m, k)
+            assert result.root**k <= m < (result.root + 1) ** k, (m, k)
+            assert result.exact == (result.root**k == m), (m, k)
+
+    def test_degree_far_past_the_bit_length_returns_at_once(self):
+        # 1 <= 2^20 < 2^(10^12); Newton from x = 2 would build 2^(10^12 - 1).
+        assert integer_root(2**20, 10**12) == RootResult(1, False)
+
     def test_matches_isqrt(self):
         values = list(range(1000)) + [10**20 + 7, 2**61 - 1, 3**50, 10**30]
         for m in values:

@@ -56,7 +56,7 @@ def test_lemma2_hit_raises_distinguished_error(monkeypatch):
     # Force the strip search to report a solution; the lemma must refuse to
     # return it as a result.
     def search_with_hit(instance, box):
-        return SearchReport(instance, box, (SolutionTriple(1, 0, 1),), box.pairs, 0.0)
+        return SearchReport(instance, box, (SolutionTriple(1, 0, 1),), 0.0)
 
     monkeypatch.setattr(pxpy.catalan, "brute_force", search_with_hit)
     with pytest.raises(InternalInconsistencyError):

@@ -1,12 +1,17 @@
 """Tests for the command-line surface: records, formats, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import pxpy.cli as cli
+import pxpy.oracle
+from pxpy.classifier import EquationInstance, classify
 from pxpy.cli import main
 from pxpy.errors import InternalInconsistencyError
 
@@ -219,6 +224,26 @@ class TestSearch:
                            "--x-max", "4", "--y-max", "4", "--workers", "0")
         assert code == 2 and "--workers" in err
 
+    def test_root_degree_past_the_sum_is_fast(self, capsys, monkeypatch):
+        # The digit cap does not bound n. 2^39 + 2^39 = 2^40 survives the
+        # sieve, and its square root 2^20 goes to a 10^10-th root.
+        degrees = []
+        integer_root = pxpy.oracle.integer_root
+
+        def counting_root(m, k):
+            degrees.append(k)
+            return integer_root(m, k)
+
+        monkeypatch.setattr(pxpy.oracle, "integer_root", counting_root)
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "search", "--p", "2", "--n", "10000000000",
+                           "--x-max", "40", "--y-max", "40")
+        assert time.perf_counter() - started < 1.0
+        assert code == 0
+        (record,) = records(out)
+        assert record["payload"]["solutions"] == []
+        assert 10**10 in degrees
+
 
 class TestCrosscheck:
     def test_defaults_exit_0(self, capsys):
@@ -281,6 +306,18 @@ class TestSummary:
                 {"n": "n>1", "p": "p>=3", "solvable": False, "families": []},
             ],
         }
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_symbolic_family_matches_classify(self, n):
+        # summary states the n>1, p=2 family with a symbolic n; put each n
+        # back in and it must read as classify renders that instance.
+        text = (
+            cli._SYMBOLIC_N_FAMILY.replace("/n)", f"/{n})")
+            .replace("n-1", str(n - 1))
+            .replace("(mod n)", f"(mod {n})")
+        )
+        (family,) = classify(EquationInstance(2, n))
+        assert text == str(family)
 
 
 class TestProtocol:
@@ -415,3 +452,21 @@ class TestProtocol:
             main(["frobnicate"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_closed_pipe_exits_141():
+    # The reader leaves after one line, as `pxpy enumerate ... | head -1`
+    # does: no traceback, and the exit status a shell gives for SIGPIPE.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pxpy.cli", "enumerate", "--p", "2", "--n", "1",
+         "--max-exponent", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -30,3 +30,11 @@ def test_star_import():
     namespace = {}
     exec("from pxpy import *", namespace)
     assert set(pxpy.__all__) <= set(namespace)
+
+
+def test_package_exports_exactly_the_modules_exports():
+    module_names = [
+        name for module in SUBMODULES for name in getattr(module, "__all__", ())
+    ]
+    assert sorted(pxpy.__all__) == sorted(module_names)
+    assert len(set(module_names)) == len(module_names)
