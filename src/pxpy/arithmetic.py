@@ -160,10 +160,30 @@ def is_prime(m: int) -> bool:
 def eval_lhs(p: int, x: int, y: int) -> int:
     """p^x + p^y, computed exactly.
 
+    For p = 2 the powers are shifts, (1 << x) + (1 << y). Any other p is
+    formed as p^lo * (p^(hi - lo) + 1) with lo <= hi, the same integer at
+    about the cost of p^hi alone rather than of p^hi plus p^lo. Only verify
+    calls this; the oracle's scan forms p^x + p^y unfactored on purpose.
+
     Raises ValueError if p < 2 or either exponent is negative.
     """
     if p < 2:
         raise ValueError("base p must be >= 2")
     if x < 0 or y < 0:
         raise ValueError("exponents must be non-negative")
-    return p**x + p**y
+    if p == 2:
+        return (1 << x) + (1 << y)
+    lo, hi = (x, y) if x <= y else (y, x)
+    return p**lo * (p ** (hi - lo) + 1)
+
+
+def _shifted_power(z: int, k: int) -> int:
+    """z^k for z, k >= 0, with z's factor 2^t raised as a shift.
+
+    (z >> t)^k << t*k, as GMP's mpz_pow_ui does, so a power of 2 costs a
+    shift and 3 * 2^s costs a power of 3.
+    """
+    t = (z & -z).bit_length() - 1
+    if t <= 0:  # z odd, or z = 0 (t = -1)
+        return z**k
+    return (z >> t) ** k << (t * k)

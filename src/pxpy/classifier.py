@@ -24,9 +24,10 @@ threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .arithmetic import eval_lhs, is_prime, p_adic_valuation
+from .arithmetic import _shifted_power, eval_lhs, is_prime, p_adic_valuation
 from .errors import InternalInconsistencyError
 
 __all__ = [
@@ -41,6 +42,16 @@ __all__ = [
     "verify",
 ]
 
+# EquationInstance tests p on every construction, and callers build many
+# instances over a few primes. typed=True keeps 7.0 from borrowing 7's entry.
+_is_prime_memo = functools.lru_cache(maxsize=1024, typed=True)(is_prime)
+
+# verify forms both sides at once only while each is at most this many bits;
+# up to about this width that costs no more than its residue test.
+_NARROW_BITS = 2048
+# The prime 2^61 - 1: verify compares wider candidates modulo it first.
+_RESIDUE_MODULUS = (1 << 61) - 1
+
 
 @dataclass(frozen=True, slots=True)
 class EquationInstance:
@@ -52,7 +63,7 @@ class EquationInstance:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not is_prime(self.p):
+        if not _is_prime_memo(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
 
     @property
@@ -186,8 +197,34 @@ def instantiate(family: SolutionFamily, s: int) -> SolutionTriple:
 
 
 def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
-    """True iff p^x + p^y = z^(2n) holds exactly."""
-    return eval_lhs(instance.p, triple.x, triple.y) == triple.z**instance.power
+    """True iff p^x + p^y = z^(2n) holds exactly.
+
+    While p^max(x, y) and z^(2n) both fit in about 2048 bits, both sides
+    are formed and compared. A wider candidate must first pass two
+    necessary conditions that cost no big power:
+
+    - the bit lengths of the sides can agree: p^h <= p^x + p^y <= 2*p^h for
+      h = max(x, y), and 2^((b-1)*2n) <= z^(2n) < 2^(b*2n) for a b-bit z;
+    - the sides agree modulo the prime 2^61 - 1 (three modular pows).
+
+    So a non-member, near misses included, almost never forms a big
+    integer, and huge exponents with a small z are refused at once. A
+    candidate that passes both is compared exactly: eval_lhs shifts for
+    p = 2 and factors p^lo * (p^(hi-lo) + 1) otherwise, and z^(2n) raises
+    z's factor 2^t as a shift. The answer is exact at every size.
+    """
+    p, power = instance.p, 2 * instance.n
+    x, y, z = triple.x, triple.y, triple.z
+    high = x if x > y else y
+    p_bits, z_bits = p.bit_length(), z.bit_length()
+    if high * p_bits <= _NARROW_BITS and z_bits * power <= _NARROW_BITS:
+        return eval_lhs(p, x, y) == z**power
+    if high * (p_bits - 1) >= z_bits * power or (z_bits - 1) * power > high * p_bits + 1:
+        return False
+    m = _RESIDUE_MODULUS
+    if (pow(p, x, m) + pow(p, y, m) - pow(z, power, m)) % m:
+        return False
+    return eval_lhs(p, x, y) == _shifted_power(z, power)
 
 
 def enumerate_solutions(
@@ -231,7 +268,7 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
 
     # (x, y, z) solves p^x + p^y = z^(2n) iff (x, y, w) with w = z^n solves
     # the square equation, so reduce and dispatch on the shape of w.
-    w = z**n
+    w = _shifted_power(z, n)
     inner = _trace_square(p, x, y, w, root_name="w")
     if inner.accepted:
         if p == 2 and inner.case_label == "Case 1":
@@ -280,7 +317,7 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
                     "odd exponent, which is not a perfect square"
                 ),
             )
-        if z != 2 ** ((x + 1) // 2):
+        if z != 1 << ((x + 1) // 2):
             return CaseTrace(
                 "Case 1",
                 rejection_reason=(

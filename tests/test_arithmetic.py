@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pxpy.arithmetic import (
     DETERMINISTIC_PRIMALITY_BOUND,
     RootResult,
+    _shifted_power,
     eval_lhs,
     integer_root,
     is_prime,
@@ -253,3 +254,28 @@ class TestEvalLhs:
     @given(p=st.integers(2, 10), x=st.integers(0, 2000))
     def test_large_values_exact(self, p, x):
         assert eval_lhs(p, x, 0) == p**x + 1
+
+    # p = 2 takes the shift path, odd p the factored p^lo * (p^d + 1) path.
+    @pytest.mark.parametrize("p", (2, 3, 5, 97))
+    def test_matches_naive_sum(self, p):
+        pairs = [(0, 0), (0, 1), (1, 0), (7, 7), (0, 500), (500, 0), (499, 500), (2000, 1999), (30, 1700)]
+        for x, y in pairs:
+            assert eval_lhs(p, x, y) == p**x + p**y, (x, y)
+
+    @settings(max_examples=50)
+    @given(p=st.sampled_from([2, 3, 5, 97]), x=st.integers(0, 3000), y=st.integers(0, 3000))
+    def test_matches_naive_sum_sampled(self, p, x, y):
+        assert eval_lhs(p, x, y) == p**x + p**y
+
+
+class TestShiftedPower:
+    def test_matches_power(self):
+        # zero, one, odd, and even with odd part 1, 3 and 5^25
+        for z in (0, 1, 7, 5**30, 2, 12, 1 << 40, 10**25):
+            for k in (0, 1, 2, 5):
+                assert _shifted_power(z, k) == z**k, (z, k)
+
+    def test_wide_three_times_power_of_two(self):
+        z = 3 << 50_000
+        for k in (1, 2, 6):
+            assert _shifted_power(z, k) == z**k

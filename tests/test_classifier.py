@@ -1,11 +1,14 @@
 """Tests for the classification engine: families, verification, tracing."""
 
 import sys
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pxpy.classifier
+from pxpy.arithmetic import eval_lhs
 from pxpy.classifier import (
     EquationInstance,
     SolutionFamily,
@@ -202,6 +205,136 @@ class TestVerify:
         lifted = verify(EquationInstance(p, n), SolutionTriple(x, y, z))
         reduced = verify(EquationInstance(p, 1), SolutionTriple(x, y, z**n))
         assert lifted == reduced
+
+
+def naive_verify(p, n, x, y, z):
+    """The equation itself, with no pre-test, shift or factoring."""
+    return p**x + p**y == z ** (2 * n)
+
+
+# (x offset, y offset, scale): x = 2n*e + a, y = 2n*e + b, z = c * p^e. For
+# each p and n some shapes are members and the rest near them.
+_SHAPES = ((3, 0, 3), (0, 3, 3), (1, 0, 2), (0, 1, 2), (-1, -1, 1))
+_NEAR_MISSES = (None, "z+1", "z-1", "x+2", "y+2")
+_RESIDUE_MODULUS = pxpy.classifier._RESIDUE_MODULUS  # 2^61 - 1
+
+
+def _shaped_candidate(p, n, e, shape, how):
+    a, b, c = shape
+    x, y, z = 2 * n * e + a, 2 * n * e + b, c * p**e
+    x, y, z = {
+        None: (x, y, z),
+        "z+1": (x, y, z + 1),
+        "z-1": (x, y, z - 1),
+        "x+2": (x + 2, y, z),
+        "y+2": (x, y + 2, z),
+    }[how]
+    return x, y, z
+
+
+class TestVerifyAgainstNaive:
+    """verify against the bare equation, on both sides of its size threshold.
+
+    verify forms both sides directly up to 2048 bits; wider candidates go
+    through a bit-length window and a residue test mod 2^61 - 1 first.
+    e up to 12 keeps both sides of every shape narrow, and e from 520 makes
+    p^max(x, y) wider than 2048 bits for every p and n here.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5, 97]),
+        n=st.integers(1, 6),
+        e=st.one_of(st.integers(1, 12), st.integers(520, 900)),
+        shape=st.sampled_from(_SHAPES),
+        how=st.sampled_from(_NEAR_MISSES),
+    )
+    def test_shaped_candidates(self, p, n, e, shape, how):
+        x, y, z = _shaped_candidate(p, n, e, shape, how)
+        expected = naive_verify(p, n, x, y, z)
+        assert verify(EquationInstance(p, n), SolutionTriple(x, y, z)) == expected
+
+    @pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (3, 1), (5, 2), (97, 1)])
+    def test_both_sides_of_the_threshold(self, p, n):
+        bits = pxpy.classifier._NARROW_BITS
+        for shape in _SHAPES:
+            # the first e whose candidate is wide, and the one before it
+            e = 1
+            while True:
+                x, y, z = _shaped_candidate(p, n, e, shape, None)
+                if max(x, y) * p.bit_length() > bits or z.bit_length() * 2 * n > bits:
+                    break
+                e += 1
+            for e in (e - 1, e):
+                for how in _NEAR_MISSES:
+                    x, y, z = _shaped_candidate(p, n, e, shape, how)
+                    expected = naive_verify(p, n, x, y, z)
+                    assert verify(EquationInstance(p, n), SolutionTriple(x, y, z)) == expected
+
+    def test_shapes_include_wide_members(self):
+        members = [
+            (p, n)
+            for p in (2, 3)
+            for n in (1, 2)
+            for shape in _SHAPES
+            if naive_verify(p, n, *_shaped_candidate(p, n, 520, shape, None))
+        ]
+        assert sorted(set(members)) == [(2, 1), (2, 2), (3, 1)]
+
+    def test_residue_collision_is_rejected_exactly(self, monkeypatch):
+        # z + (2^61 - 1) has the same residue, so only the exact step
+        # can reject it.
+        inst = EquationInstance(2, 1)
+        x, y, z = _shaped_candidate(2, 1, 3000, (3, 0, 3), None)
+        exact_steps = []
+
+        def counting_eval_lhs(*args):
+            exact_steps.append(args)
+            return eval_lhs(*args)
+
+        monkeypatch.setattr(pxpy.classifier, "eval_lhs", counting_eval_lhs)
+        assert verify(inst, SolutionTriple(x, y, z))
+        collided = z + _RESIDUE_MODULUS
+        assert pow(collided, 2, _RESIDUE_MODULUS) == pow(z, 2, _RESIDUE_MODULUS)
+        assert collided.bit_length() == z.bit_length()
+        assert not verify(inst, SolutionTriple(x, y, collided))
+        assert not naive_verify(2, 1, x, y, collided)
+        assert len(exact_steps) == 2
+
+    def test_wide_near_misses_form_no_side(self, monkeypatch):
+        def no_exact_step(*args):
+            raise AssertionError("a near miss reached the exact comparison")
+
+        monkeypatch.setattr(pxpy.classifier, "eval_lhs", no_exact_step)
+        for p, shape in ((2, (3, 0, 3)), (3, (1, 0, 2))):
+            for how in _NEAR_MISSES[1:]:
+                x, y, z = _shaped_candidate(p, 1, 2000, shape, how)
+                assert not verify(EquationInstance(p, 1), SolutionTriple(x, y, z))
+
+
+class TestVerifyHugeExponents:
+    """Huge exponents with a small z are refused without forming a side."""
+
+    @pytest.mark.parametrize(
+        "p, n, triple",
+        [
+            (2, 1, (10**12, 0, 3)),
+            (2, 10**10, (0, 0, 2)),
+            # 2 has order 61 mod 2^61 - 1, so this passes the residue test:
+            # only the bit-length window keeps it from forming 2^(6.1e13).
+            (2, 1, (3 + 61 * 10**12, 0, 3)),
+            (3, 1, (10**15, 10**15, 2)),
+            (97, 10**9, (5, 0, 10**40)),
+        ],
+    )
+    def test_returns_false_at_once(self, p, n, triple):
+        start = time.perf_counter()
+        assert not verify(EquationInstance(p, n), SolutionTriple(*triple))
+        assert time.perf_counter() - start < 1.0
+
+    def test_residue_period_of_two(self):
+        # The third case above does collide modulo 2^61 - 1.
+        assert pow(2, 3 + 61 * 10**12, _RESIDUE_MODULUS) + 1 == 9
 
 
 class TestTraceCandidate:
