@@ -27,7 +27,14 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .arithmetic import _shifted_power, eval_lhs, is_prime, p_adic_valuation
+from .arithmetic import (
+    _NARROW_BITS,
+    _shifted_power,
+    _short_quotient,
+    eval_lhs,
+    is_prime,
+    p_adic_valuation,
+)
 from .errors import InternalInconsistencyError
 
 __all__ = [
@@ -46,9 +53,9 @@ __all__ = [
 # instances over a few primes. typed=True keeps 7.0 from borrowing 7's entry.
 _is_prime_memo = functools.lru_cache(maxsize=1024, typed=True)(is_prime)
 
-# verify forms both sides at once only while each is at most this many bits;
-# up to about this width that costs no more than its residue test.
-_NARROW_BITS = 2048
+# verify forms both sides at once only while each is at most _NARROW_BITS
+# (2048) bits; up to about this width that costs no more than its residue
+# test.
 # The prime 2^61 - 1: verify compares wider candidates modulo it first.
 _RESIDUE_MODULUS = (1 << 61) - 1
 
@@ -134,7 +141,10 @@ class CaseTrace:
     A trace is a rejection iff it carries a rejection_reason; the derived
     properties accepted and verdict read that one field. e and k are set on
     the x != y paths of the n = 1 analysis, where z = p^e * k with p not
-    dividing k; w = z^n is set whenever n > 1.
+    dividing k. w = z^n is set whenever n > 1, except when z^(2n) is wider
+    than 2048 bits and its bit length cannot match that of p^x + p^y: that
+    rejection is made from the bit lengths alone, without forming w, and
+    leaves w None.
     """
 
     case_label: str
@@ -196,6 +206,18 @@ def instantiate(family: SolutionFamily, s: int) -> SolutionTriple:
     return triple
 
 
+def _widths_disagree(p: int, high: int, z: int, power: int) -> bool:
+    """True when p^x + p^y and z^power cannot have the same bit length.
+
+    high = max(x, y). The left side lies in [p^high, 2*p^high], so it has
+    between high*(bits(p) - 1) + 1 and high*bits(p) + 1 bits; z^power has
+    between (bits(z) - 1)*power + 1 and bits(z)*power bits. No power is
+    formed.
+    """
+    p_bits, z_bits = p.bit_length(), z.bit_length()
+    return high * (p_bits - 1) >= z_bits * power or (z_bits - 1) * power > high * p_bits + 1
+
+
 def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
     """True iff p^x + p^y = z^(2n) holds exactly.
 
@@ -209,22 +231,39 @@ def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
 
     So a non-member, near misses included, almost never forms a big
     integer, and huge exponents with a small z are refused at once. A
-    candidate that passes both is compared exactly: eval_lhs shifts for
-    p = 2 and factors p^lo * (p^(hi-lo) + 1) otherwise, and z^(2n) raises
-    z's factor 2^t as a shift. The answer is exact at every size.
+    candidate that passes both is settled by its p-adic split. With
+    lo = min(x, y) and d = |x - y|, the left side is p^L * c with p not
+    dividing c: (L, c) = (lo + 1, 1) for p = 2 and d = 0, else
+    (lo, p^d + 1). So the equation holds iff 2n divides L and z = p^(L/2n)
+    * k with k^(2n) = c; k is short whenever c is, and _short_quotient
+    finds it with one division whose quotient is short, linear in the size
+    of z. When p^d itself is wider than 2048 bits, both sides are formed
+    instead: eval_lhs shifts for p = 2 and factors p^lo * (p^d + 1)
+    otherwise, and z^(2n) raises z's factor 2^t as a shift. The answer is
+    exact at every size.
     """
     p, power = instance.p, 2 * instance.n
     x, y, z = triple.x, triple.y, triple.z
     high = x if x > y else y
-    p_bits, z_bits = p.bit_length(), z.bit_length()
-    if high * p_bits <= _NARROW_BITS and z_bits * power <= _NARROW_BITS:
+    p_bits = p.bit_length()
+    if high * p_bits <= _NARROW_BITS and z.bit_length() * power <= _NARROW_BITS:
         return eval_lhs(p, x, y) == z**power
-    if high * (p_bits - 1) >= z_bits * power or (z_bits - 1) * power > high * p_bits + 1:
+    if _widths_disagree(p, high, z, power):
         return False
     m = _RESIDUE_MODULUS
     if (pow(p, x, m) + pow(p, y, m) - pow(z, power, m)) % m:
         return False
-    return eval_lhs(p, x, y) == _shifted_power(z, power)
+    lo = x + y - high
+    d = high - lo
+    if d * p_bits > _NARROW_BITS:
+        return eval_lhs(p, x, y) == _shifted_power(z, power)
+    v, c = (lo + 1, 1) if p == 2 and d == 0 else (lo, p**d + 1)
+    e, remainder = divmod(v, power)
+    if remainder:
+        return False
+    k = _short_quotient(z, p, e)
+    # (bits(k) - 1) * 2n >= bits(c) means k^(2n) > c: skip forming it.
+    return k is not None and (k.bit_length() - 1) * power < c.bit_length() and k**power == c
 
 
 def enumerate_solutions(
@@ -266,6 +305,15 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
     if n == 1:
         return _trace_square(p, x, y, z)
 
+    # A wide w = z^n is formed only if the bit lengths allow a solution.
+    if z.bit_length() * 2 * n > _NARROW_BITS and _widths_disagree(p, max(x, y), z, 2 * n):
+        return CaseTrace(
+            _ngt1_label(p),
+            rejection_reason=(
+                f"{p}^x + {p}^y and z^{2 * n} cannot have the same bit length, "
+                f"so (x, y, w) with w = z^{n} cannot solve the square equation"
+            ),
+        )
     # (x, y, z) solves p^x + p^y = z^(2n) iff (x, y, w) with w = z^n solves
     # the square equation, so reduce and dispatch on the shape of w.
     w = _shifted_power(z, n)
@@ -280,21 +328,30 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
             f"(x, y, w) = ({x}, {y}, {w}) was accepted for the square "
             f"equation, but a w of that shape is never a perfect {n}-th power"
         )
-    if p == 2:
-        label = "n>1 Case 1"
-    elif p == 3:
-        label = "n>1 Case 2.1"
-    else:
-        label = "n>1 Case 2.2"
     reason = (
         f"(x, y, w) with w = z^{n} must solve the square equation, "
         f"which rejects it at {inner.case_label}: {inner.rejection_reason}"
     )
-    return CaseTrace(label, w=w, rejection_reason=reason)
+    return CaseTrace(_ngt1_label(p), w=w, rejection_reason=reason)
+
+
+def _ngt1_label(p: int) -> str:
+    """The case that rejects an n > 1 candidate: n>1 Case 1, 2.1 or 2.2 by p."""
+    if p == 2:
+        return "n>1 Case 1"
+    return "n>1 Case 2.1" if p == 3 else "n>1 Case 2.2"
 
 
 def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseTrace:
     """Case analysis for p^x + p^y = z^2 with z >= 1.
+
+    For x != y, the exact step is the p-adic split z = p^e * k with p not
+    dividing k. For odd p and z wider than 2048 bits, z is first divided by
+    p^(min(x, y) // 2), the power the Case 2 gate predicts: when that leaves
+    a short quotient q (see _short_quotient), e is min(x, y) // 2 + v_p(q)
+    and k is q's cofactor, with no valuation of z itself (near-quadratic for
+    odd p under CPython's division). Otherwise z's own valuation is taken.
+    Either way there is one valuation call, and (e, k) is the same.
 
     root_name only affects the wording of rejection reasons; the n > 1 path
     reduces through here with the square root named w.
@@ -317,7 +374,8 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
                     "odd exponent, which is not a perfect square"
                 ),
             )
-        if z != 1 << ((x + 1) // 2):
+        # z == 2^((x+1)/2), tested without forming that power for a huge x
+        if z & (z - 1) or z.bit_length() != (x + 1) // 2 + 1:
             return CaseTrace(
                 "Case 1",
                 rejection_reason=(
@@ -336,7 +394,14 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
     def label(sub: str) -> str:
         return f"Case 3({sub})" if swapped else f"Case {sub}"
 
-    e, k = p_adic_valuation(z, p)
+    quotient = None
+    if p != 2 and z.bit_length() > _NARROW_BITS:
+        quotient = _short_quotient(z, p, lo // 2)
+    if quotient is None:
+        e, k = p_adic_valuation(z, p)
+    else:
+        e, k = p_adic_valuation(quotient, p)
+        e += lo // 2
     d = hi - lo  # equals hi - 2e whenever the valuation gate below holds
     gate = lo == 2 * e
     gate_reason = (

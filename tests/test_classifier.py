@@ -1,5 +1,6 @@
 """Tests for the classification engine: families, verification, tracing."""
 
+import math
 import sys
 import time
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pxpy.arithmetic
 import pxpy.classifier
-from pxpy.arithmetic import eval_lhs
+from pxpy.arithmetic import _NARROW_BITS, _short_quotient
 from pxpy.classifier import (
     EquationInstance,
     SolutionFamily,
@@ -232,13 +234,43 @@ def _shaped_candidate(p, n, e, shape, how):
     return x, y, z
 
 
+def naive_valuation(m, p):
+    """(e, m / p^e) for the largest e with p^e | m, one factor at a time."""
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return e, m
+
+
+def _guided_candidates(p, n):
+    """Wide candidates around every shape: members, each exponent and z
+    moved by +-1 and +-2, both orientations, and z = p^(lo//2) * k for
+    small k, some divisible by p."""
+    e = _NARROW_BITS // (p.bit_length() - 1) + 2  # c * p^e is wider than 2048 bits
+    for shape in _SHAPES:
+        x, y, z = _shaped_candidate(p, n, e, shape, None)
+        moved = [(x, y, z)]
+        for delta in (-2, -1, 1, 2):
+            moved += [(x + delta, y, z), (x, y + delta, z), (x, y, z + delta)]
+        for k in (1, 2, 3, 4, 5, 7, 9, 10, 25, 97, 194, 97 * 97):
+            moved.append((x, y, p ** (min(x, y) // 2) * k))
+        for a, b, c in moved:
+            yield a, b, c
+            yield b, a, c
+
+
 class TestVerifyAgainstNaive:
     """verify against the bare equation, on both sides of its size threshold.
 
     verify forms both sides directly up to 2048 bits; wider candidates go
     through a bit-length window and a residue test mod 2^61 - 1 first.
     e up to 12 keeps both sides of every shape narrow, and e from 520 makes
-    p^max(x, y) wider than 2048 bits for every p and n here.
+    p^max(x, y) wider than 2048 bits for every p and n here. A wide
+    candidate that passes both is settled by the p-adic split through
+    _short_quotient, and trace_candidate tries the exponent min(x, y) // 2
+    before a valuation of z; the tests from
+    test_against_the_equation_and_a_naive_valuation on cover that step.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -282,17 +314,17 @@ class TestVerifyAgainstNaive:
         assert sorted(set(members)) == [(2, 1), (2, 2), (3, 1)]
 
     def test_residue_collision_is_rejected_exactly(self, monkeypatch):
-        # z + (2^61 - 1) has the same residue, so only the exact step
-        # can reject it.
+        # z + (2^61 - 1) has the same residue, so only the exact step, the
+        # p-adic split through _short_quotient, can reject it.
         inst = EquationInstance(2, 1)
         x, y, z = _shaped_candidate(2, 1, 3000, (3, 0, 3), None)
         exact_steps = []
 
-        def counting_eval_lhs(*args):
+        def counting_short_quotient(*args):
             exact_steps.append(args)
-            return eval_lhs(*args)
+            return _short_quotient(*args)
 
-        monkeypatch.setattr(pxpy.classifier, "eval_lhs", counting_eval_lhs)
+        monkeypatch.setattr(pxpy.classifier, "_short_quotient", counting_short_quotient)
         assert verify(inst, SolutionTriple(x, y, z))
         collided = z + _RESIDUE_MODULUS
         assert pow(collided, 2, _RESIDUE_MODULUS) == pow(z, 2, _RESIDUE_MODULUS)
@@ -305,11 +337,85 @@ class TestVerifyAgainstNaive:
         def no_exact_step(*args):
             raise AssertionError("a near miss reached the exact comparison")
 
+        monkeypatch.setattr(pxpy.classifier, "_short_quotient", no_exact_step)
         monkeypatch.setattr(pxpy.classifier, "eval_lhs", no_exact_step)
         for p, shape in ((2, (3, 0, 3)), (3, (1, 0, 2))):
             for how in _NEAR_MISSES[1:]:
                 x, y, z = _shaped_candidate(p, 1, 2000, shape, how)
                 assert not verify(EquationInstance(p, 1), SolutionTriple(x, y, z))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 97])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_against_the_equation_and_a_naive_valuation(self, p, n):
+        inst = EquationInstance(p, n)
+        members = 0
+        for x, y, z in _guided_candidates(p, n):
+            assert z.bit_length() > _NARROW_BITS
+            triple = SolutionTriple(x, y, z)
+            expected = naive_verify(p, n, x, y, z)
+            members += expected
+            assert verify(inst, triple) == expected, (x, y, z)
+            trace = trace_candidate(inst, triple)
+            assert trace.accepted == expected, (x, y, trace.case_label)
+            if n == 1 and x != y:
+                assert (trace.e, trace.k) == naive_valuation(z, p), (x, y)
+        # wide members are among the candidates wherever the instance has any
+        assert (members > 0) == bool(classify(inst))
+
+    def test_guided_split_equals_the_generic_valuation(self, monkeypatch):
+        # The same (e, k) whether or not the predicted exponent is tried.
+        cases = [
+            (3, 1, z, lo)
+            for z in (2 * 3**3000, 4 * 3**3000, 9 * 3**3000, 3**3001 + 3**1500)
+            for lo in (0, 2, 1998, 3000, 5999, 6000, 6001, 6002)
+        ]
+        cases += [(97, 1, 5 * 97**400, lo) for lo in (798, 799, 800, 801)]
+        guided = [trace_candidate(EquationInstance(p, n), SolutionTriple(lo, lo + 1, z))
+                  for p, n, z, lo in cases]
+        monkeypatch.setattr(pxpy.classifier, "_short_quotient", lambda *args: None)
+        generic = [trace_candidate(EquationInstance(p, n), SolutionTriple(lo, lo + 1, z))
+                   for p, n, z, lo in cases]
+        assert [(t.e, t.k) for t in guided] == [(t.e, t.k) for t in generic]
+        assert guided == generic
+
+    def test_member_trace_takes_no_wide_valuation(self, monkeypatch):
+        # The valuation of 2 * 3^100000 (47.7k digits) is settled by one
+        # division by 3^100000: _remove never sees a wide value.
+        widths = []
+        remove = pxpy.arithmetic._remove
+
+        def recording_remove(m, q):
+            widths.append(m.bit_length())
+            return remove(m, q)
+
+        monkeypatch.setattr(pxpy.arithmetic, "_remove", recording_remove)
+        s = 100_000
+        inst, triple = EquationInstance(3, 1), SolutionTriple(2 * s + 1, 2 * s, 2 * 3**s)
+        trace = trace_candidate(inst, triple)
+        assert trace.accepted and (trace.e, trace.k) == (s, 2)
+        assert verify(inst, triple)
+        assert max(widths, default=0) <= _NARROW_BITS
+
+    @pytest.mark.parametrize("power_of_3", [1, 40])
+    @pytest.mark.parametrize("where", ["near z", "half of z"])
+    def test_crafted_shapes_at_the_digit_cap(self, power_of_3, where):
+        # z = 3^j * R with R prime to 3 and z at the CLI's default digit cap
+        # (10^5 digits). min(x, y) // 2 = g puts p^g about as wide as z, or
+        # half as wide: the guided step must fail fast and fall back.
+        r = 10**99_990 + 1  # 10 = 1 mod 3, so R = 2 mod 3
+        z = 3**power_of_3 * r
+        g = int(z.bit_length() / math.log2(3)) - 1
+        if where == "half of z":
+            g //= 2
+        inst = EquationInstance(3, 1)
+        for x, y in ((2 * g, 2 * g + 1), (2 * g + 1, 2 * g), (2 * g, 2 * g + 2)):
+            triple = SolutionTriple(x, y, z)
+            started = time.perf_counter()
+            trace = trace_candidate(inst, triple)
+            verdict = verify(inst, triple)
+            assert time.perf_counter() - started < 1.0
+            assert (trace.e, trace.k) == (power_of_3, r)
+            assert not trace.accepted and not verdict
 
 
 class TestVerifyHugeExponents:
@@ -335,6 +441,20 @@ class TestVerifyHugeExponents:
     def test_residue_period_of_two(self):
         # The third case above does collide modulo 2^61 - 1.
         assert pow(2, 3 + 61 * 10**12, _RESIDUE_MODULUS) + 1 == 9
+
+    def test_exact_step_with_a_huge_n_forms_no_power(self):
+        # z = 2 * 3^10 and x = 2n*10 + 1, y = 2n*10 pass the bit-length
+        # window, and since 2 has order 61 mod 2^61 - 1 and 61 | 2n - 2,
+        # also the residue test. The split then finds k = 2 against
+        # c = 3 + 1 = 4; k^(2n) would have 2*10^10 bits.
+        n = 9_999_999_987
+        inst = EquationInstance(3, n)
+        triple = SolutionTriple(2 * n * 10 + 1, 2 * n * 10, 2 * 3**10)
+        m = _RESIDUE_MODULUS
+        assert (pow(3, triple.x, m) + pow(3, triple.y, m) - pow(triple.z, 2 * n, m)) % m == 0
+        started = time.perf_counter()
+        assert not verify(inst, triple)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestTraceCandidate:
@@ -404,6 +524,59 @@ class TestTraceCandidate:
         assert rejected.w == 36
         rejected = trace_candidate(EquationInstance(5, 3), SolutionTriple(1, 1, 1))
         assert rejected.case_label == "n>1 Case 2.2" and not rejected.accepted
+
+    @pytest.mark.parametrize("p, n, triple, label", [
+        (2, 10**10, (0, 0, 2), "n>1 Case 1"),
+        (3, 2, (1, 2, 10**1000), "n>1 Case 2.1"),
+        (97, 10**9, (5, 0, 10**40), "n>1 Case 2.2"),
+    ])
+    def test_ngt1_outside_the_bit_length_window_forms_no_w(self, p, n, triple, label):
+        # w = z^n would have 2*10^10, 6.6k and 1.3*10^11 bits; the bit
+        # lengths of the two sides already rule each candidate out.
+        inst, candidate = EquationInstance(p, n), SolutionTriple(*triple)
+        started = time.perf_counter()
+        trace = trace_candidate(inst, candidate)
+        assert time.perf_counter() - started < 1.0
+        assert trace.case_label == label and not trace.accepted
+        assert trace.w is None and trace.e is None and trace.k is None
+        assert "bit length" in trace.rejection_reason
+        assert not verify(inst, candidate)
+
+    def test_ngt1_wide_inside_the_window_reports_w(self):
+        # 2^(6j-1) * 2 = (2^j)^6, so z = 2^j + 1 has the right bit length,
+        # and so has z = 2^j against 2^(6j) + 2^0.
+        j = 3000
+        s = 3 * j - 1
+        for x, y, z, accepted in (
+            (2 * s + 1, 2 * s + 1, 1 << j, True),
+            (2 * s + 1, 2 * s + 1, (1 << j) + 1, False),
+            (6 * j, 0, 1 << j, False),
+            (0, 6 * j, 1 << j, False),
+        ):
+            trace = trace_candidate(EquationInstance(2, 3), SolutionTriple(x, y, z))
+            assert trace.accepted == accepted
+            assert trace.w == z**3
+
+    @pytest.mark.parametrize("j", [1, 5, 3000])
+    def test_case_1_power_of_two_test(self, j):
+        inst = EquationInstance(2, 1)
+        x = 2 * j - 1  # 2 * 2^x = (2^j)^2
+        for z in (1 << j, (1 << j) + 1, (1 << j) - 1, 3 << (j - 1), 1 << (j + 1), 1 << (j - 1)):
+            triple = SolutionTriple(x, x, z)
+            trace = trace_candidate(inst, triple)
+            assert trace.case_label == "Case 1"
+            assert trace.accepted == (z == 1 << j) == verify(inst, triple)
+
+    @pytest.mark.parametrize("n, label", [(1, "Case 1"), (2, "n>1 Case 1")])
+    def test_case_1_huge_exponent_forms_no_power(self, n, label):
+        # Case 1 forces z = 2^((x+1)/2); comparing against it must not
+        # build that power for x = 10^12 + 1.
+        inst, triple = EquationInstance(2, n), SolutionTriple(10**12 + 1, 10**12 + 1, 3)
+        started = time.perf_counter()
+        trace = trace_candidate(inst, triple)
+        assert time.perf_counter() - started < 1.0
+        assert trace.case_label == label and not trace.accepted
+        assert not verify(inst, triple)
 
     def test_rejection_reason_present_iff_rejected(self):
         inst = EquationInstance(2, 1)

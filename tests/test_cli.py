@@ -188,6 +188,19 @@ class TestTrace:
         assert record["payload"]["verdict"] == "accepted"
         assert elapsed < 1.5
 
+    def test_ngt1_outside_the_bit_length_window_reports_no_w(self, capsys):
+        # w = z^n would be 2^(10^10); the trace rejects without forming it.
+        started = time.perf_counter()
+        code, out, _ = run(capsys, "trace", "--p", "2", "--n", "10000000000",
+                           "-x", "0", "-y", "0", "-z", "2", "--digit-cap", "0")
+        assert time.perf_counter() - started < 1.0
+        assert code == 1
+        (record,) = records(out)
+        assert record["payload"]["case"] == "n>1 Case 1"
+        assert record["payload"]["w"] is None
+        assert record["payload"]["verdict"] == "rejected"
+        assert '"w": null' in out
+
     def test_ngt1_trace_reports_w(self, capsys):
         code, out, _ = run(capsys, "trace", "--p", "2", "--n", "2",
                            "-x", "3", "-y", "3", "-z", "2")
