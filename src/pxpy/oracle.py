@@ -7,9 +7,11 @@ meaningful completeness certificate for the classifier.
 The scan kernel rules most pairs out by a power-residue sieve (Cohen, A
 Course in Computational Algebraic Number Theory, Alg. 1.7.3): z^(2n) mod M
 is always a (2n)-th power residue mod M, so a pair whose sum p^x + p^y is
-not one, for some modulus M, is no solution. Only the survivors form the
-sum and take its exact root. The equation is symmetric in x and y, so each
-unordered pair is checked once.
+not one, for some modulus M, is no solution. The sieve works on residues
+of p's powers only; a row forms p^a only if some pair survives it, and a
+survivor forms p^b, then the sum p^a + p^b and its exact root. No table of
+powers is kept, so memory stays near the size of one sum. The equation is
+symmetric in x and y, so each unordered pair is checked once.
 
 Searches may fan out across worker processes, but the returned report is
 identical for any worker count except for its timing and worker metadata.
@@ -37,18 +39,30 @@ __all__ = [
     "cross_check",
 ]
 
-# Boxes below this many (x, y) pairs run inline: process startup would cost
-# more than the scan itself. Measured on 2 vCPUs (Python 3.11): 2 workers
-# first beat the inline scan between 2000x2000 and 2400x2400 boxes for p = 2
-# and p = 3, n = 1 (the costliest scans, the most sieve survivors); for
-# p = 97 they lose up to 3200x3200.
-_PARALLEL_MIN_PAIRS = 5_000_000
+# Boxes below this many (x, y) pairs run inline: process startup and the
+# serial re-check of every hit would cost more than the split scan saves.
+# Measured on 2 vCPUs (Python 3.11), inline against 2 workers, n = 1,
+# medians of 3: p = 2 at 3000x3000 130 vs 130 ms, 4000x4000 171 vs 152 ms,
+# 8000x8000 809 vs 560 ms; p = 3 at 3000x3000 111 vs 130 ms, 4000x4000 174
+# vs 188 ms, 8000x8000 681 vs 784 ms; p = 97 at 4000x4000 3 vs 15 ms. Only
+# p = 2 gains, from 4000x4000 on.
+_PARALLEL_MIN_PAIRS = 16_000_000
 
-# Sieve moduli: Cohen's 64, 63, 65 and 11, then small primes. A modulus
-# sharing a factor with p filters nothing, so the scan uses the first
-# _SIEVE_DEPTH of them that are coprime to p.
-_SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_SIEVE_DEPTH = 8
+# Sieve moduli: Cohen's 64, 63, 65 and 11, then the primes 17..113. A
+# modulus sharing a factor with p filters nothing, so the scan uses the
+# first _SIEVE_DEPTH of them that are coprime to p.
+_SIEVE_MODULI = (
+    64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+    53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
+)
+_SIEVE_DEPTH = 16
+# A row whose sums have at most this many bits stops sieving at its last
+# survivor: a root that narrow costs about as much as a sieve step, and a
+# row holding a solution would otherwise run every modulus for it.
+# Measured on 2 vCPUs, n = 1, kernel time: stopping there took p = 2 at
+# 120x120 from 0.77 to 0.35 ms and at 500x500 (1002-bit rows) from 3.3 to
+# 2.6 ms; at 1000x1000 (2002-bit rows) it cost p = 2 17% and p = 3 33%.
+_NARROW_ROW_BITS = 1024
 
 
 def default_workers() -> int:
@@ -133,28 +147,37 @@ def _exact_root(value: int, n: int) -> int | None:
     return root.root if root.exact else None
 
 
+@lru_cache(maxsize=256)
+def _coprime_moduli(p: int) -> tuple[int, ...]:
+    """The first _SIEVE_DEPTH sieve moduli coprime to p."""
+    return tuple(m for m in _SIEVE_MODULI if gcd(m, p) == 1)[:_SIEVE_DEPTH]
+
+
+def _row_sieve(modulus: int, root_degree: int, p: int, width: int):
+    """(period, patterns, tile) of one modulus for rows of width bits."""
+    patterns = _sieve_patterns(modulus, root_degree, p % modulus)
+    period = len(patterns)
+    # Repeats a period-bit pattern across all width bits.
+    tile = ((1 << (period * -(-width // period))) - 1) // ((1 << period) - 1)
+    return period, patterns, tile
+
+
 def _scan_rows(p: int, root_degree: int, rows: tuple[int, ...], b_max: int):
     """Check every unordered pair {a, b} with a in rows and a <= b <= b_max.
 
     Returns plain (a, b, z) tuples so results pickle cheaply. For each row
-    the sieve marks the b that survive every modulus as bits of one int;
-    only those take a root. Powers of p are built once per call.
+    the sieve marks the b that survive every modulus as bits of one int,
+    and stops at the first modulus that leaves none; a modulus's patterns
+    are built the first time a row reaches it. A narrow row, whose sums
+    have at most _NARROW_ROW_BITS bits, also stops at its last survivor.
+    Only a row with survivors forms p^a, and only a survivor forms p^b (its
+    own mask bit for p = 2), so no power of p is held beyond the row that
+    needs it.
     """
     width = b_max + 1
+    moduli = _coprime_moduli(p)
+    narrow = width * p.bit_length() <= _NARROW_ROW_BITS
     sieves = []
-    for modulus in _SIEVE_MODULI:
-        if gcd(modulus, p) != 1:
-            continue
-        patterns = _sieve_patterns(modulus, root_degree, p % modulus)
-        period = len(patterns)
-        # Repeats a period-bit pattern across all width bits.
-        tile = ((1 << (period * -(-width // period))) - 1) // ((1 << period) - 1)
-        sieves.append((period, patterns, tile))
-        if len(sieves) == _SIEVE_DEPTH:
-            break
-    powers = [1]
-    for _ in range(b_max):
-        powers.append(powers[-1] * p)
     n = root_degree // 2
     full = (1 << width) - 1
     hits = []
@@ -162,12 +185,24 @@ def _scan_rows(p: int, root_degree: int, rows: tuple[int, ...], b_max: int):
         survivors = full >> a << a
         for period, patterns, tile in sieves:
             survivors &= patterns[a % period] * tile
-        pa = powers[a]
+            if not survivors or narrow and survivors.bit_count() == 1:
+                break
+        else:
+            # The row outlasted every modulus built so far: build on.
+            for modulus in moduli[len(sieves) :]:
+                period, patterns, tile = sieve = _row_sieve(modulus, root_degree, p, width)
+                sieves.append(sieve)
+                survivors &= patterns[a % period] * tile
+                if not survivors or narrow and survivors.bit_count() == 1:
+                    break
+        if not survivors:
+            continue
+        pa = 1 << a if p == 2 else p**a
         while survivors:
             low = survivors & -survivors
             survivors ^= low
             b = low.bit_length() - 1
-            z = _exact_root(pa + powers[b], n)
+            z = _exact_root(pa + (low if p == 2 else p**b), n)
             if z is not None:
                 hits.append((a, b, z))
     return hits
@@ -205,12 +240,12 @@ def brute_force(
     start (with one warning line on stderr).
     """
     started = time.perf_counter()
-    cpus = default_workers()
-    if workers is None:
-        workers = cpus
     a_max, b_max = sorted((box.x_max, box.y_max))
     rows = tuple(range(a_max + 1))
-    workers = max(1, min(workers, cpus, len(rows)))
+    if workers is None or workers > 1:
+        cpus = default_workers()
+        workers = cpus if workers is None else min(workers, cpus)
+    workers = max(1, min(workers, len(rows)))
     raw = None
     if workers > 1 and box.pairs >= _PARALLEL_MIN_PAIRS:
         raw = _scan_in_pool(instance.p, instance.power, rows, b_max, workers)

@@ -1,7 +1,9 @@
 """Tests for the brute-force search and the classifier cross-check."""
 
 import concurrent.futures
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -113,6 +115,22 @@ class TestBruteForce:
         assert brute_force(inst, SearchBox(1, 30), workers=100_000).workers_used == 2
         assert sizes == [4, 4, 2]
 
+    def test_inline_search_asks_no_cpu_count(self, monkeypatch):
+        asked = []
+
+        def cpus():
+            asked.append(1)
+            return 2
+
+        monkeypatch.setattr(pxpy.oracle, "default_workers", cpus)
+        inst = EquationInstance(2, 1)
+        assert brute_force(inst, SearchBox(30, 30), workers=1).workers_used == 1
+        assert brute_force(inst, SearchBox(30, 30), workers=0).workers_used == 1
+        assert asked == []
+        # Under the pool threshold: the count is resolved but the box runs inline.
+        assert brute_force(inst, SearchBox(30, 30), workers=2).workers_used == 1
+        assert asked == [1]
+
     @pytest.mark.parametrize("error", [OSError("no processes"), BrokenProcessPool("worker died")])
     def test_pool_that_cannot_start_falls_back_inline(self, monkeypatch, capsys, error):
         def no_pool(*args, **kwargs):
@@ -163,6 +181,11 @@ def naive_scan(p, n, x_max, y_max):
 
 
 class TestScanKernel:
+    def test_moduli_reach_113(self):
+        # The residue-table test below runs over every modulus, these included.
+        new_primes = {53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113}
+        assert new_primes <= set(pxpy.oracle._SIEVE_MODULI)
+
     @pytest.mark.parametrize("k", range(2, 13))
     def test_residue_tables_are_exact(self, k):
         for modulus in pxpy.oracle._SIEVE_MODULI:
@@ -170,19 +193,105 @@ class TestScanKernel:
             expected = {pow(r, k, modulus) for r in range(modulus)}
             assert {r for r in range(modulus) if table[r]} == expected, (modulus, k)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 53, 59, 97, 101, 113, 1_000_003])
+    def test_sieve_patterns_are_exact(self, p):
+        moduli = pxpy.oracle._coprime_moduli(p)
+        assert len(moduli) == pxpy.oracle._SIEVE_DEPTH
+        assert all(gcd(m, p) == 1 for m in moduli)
+        for modulus in moduli:
+            for k in (2, 4, 6):
+                patterns = pxpy.oracle._sieve_patterns(modulus, k, p % modulus)
+                table = pxpy.oracle._power_residues(modulus, k)
+                period = len(patterns)
+                assert pow(p, period, modulus) == 1
+                for i, pattern in enumerate(patterns):
+                    for j in range(period):
+                        residue = (pow(p, i, modulus) + pow(p, j, modulus)) % modulus
+                        assert (pattern >> j) & 1 == table[residue], (p, modulus, k, i, j)
+
+    def test_coprime_skip_depends_on_p(self):
+        assert 53 not in pxpy.oracle._coprime_moduli(53)
+        assert 53 in pxpy.oracle._coprime_moduli(59)
+        assert 64 not in pxpy.oracle._coprime_moduli(2)
+        assert 63 not in pxpy.oracle._coprime_moduli(3)
+
+    @pytest.mark.parametrize(
+        "p, n, box, built",
+        [
+            # p = 97 = 1 mod 4: p^a + p^b = 2 mod 4 is no square, so every
+            # row empties at the first modulus, 64.
+            (97, 1, SearchBox(40, 40), 1),
+            # p = 2, n = 1: every row holds a hit, so rows too wide to stop
+            # at their last survivor run the full depth.
+            (2, 1, SearchBox(3, 600), pxpy.oracle._SIEVE_DEPTH),
+        ],
+    )
+    def test_sieve_depth_is_built_on_demand(self, monkeypatch, p, n, box, built):
+        moduli = []
+        row_sieve = pxpy.oracle._row_sieve
+
+        def recording(modulus, *args):
+            moduli.append(modulus)
+            return row_sieve(modulus, *args)
+
+        monkeypatch.setattr(pxpy.oracle, "_row_sieve", recording)
+        brute_force(EquationInstance(p, n), box)
+        assert moduli == list(pxpy.oracle._coprime_moduli(p)[:built])
+
+    def test_narrow_rows_stop_at_their_last_survivor(self, monkeypatch):
+        rows = tuple(range(41))
+        depths = []
+        row_sieve = pxpy.oracle._row_sieve
+
+        def recording(modulus, *args):
+            depths[-1] += 1
+            return row_sieve(modulus, *args)
+
+        monkeypatch.setattr(pxpy.oracle, "_row_sieve", recording)
+        results = []
+        for narrow_bits in (pxpy.oracle._NARROW_ROW_BITS, 0):
+            monkeypatch.setattr(pxpy.oracle, "_NARROW_ROW_BITS", narrow_bits)
+            depths.append(0)
+            results.append(pxpy.oracle._scan_rows(2, 2, rows, 40))
+        assert depths[0] < depths[1] == pxpy.oracle._SIEVE_DEPTH
+        assert results[0] == results[1]
+
+    def test_wide_strip_holds_no_powers_table(self):
+        inst, box = EquationInstance(2, 1), SearchBox(0, 40_000)
+        brute_force(inst, SearchBox(0, 8))  # fill the sieve caches first
+        tracemalloc.start()
+        try:
+            report = brute_force(inst, box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [t.as_tuple() for t in report.solutions] == [(0, 3, 3)]
+        # A table of p^0..p^40000 alone would take about 100 MB.
+        assert peak < 5_000_000, peak
+
     @settings(max_examples=80, deadline=None)
     @given(
-        st.sampled_from([2, 3, 5, 7, 97, 1_000_003]),
-        st.integers(1, 4),
+        st.sampled_from([2, 3, 5, 7, 53, 59, 97, 101, 113, 1_000_003]),
+        st.integers(1, 6),
         st.integers(0, 40),
         st.integers(0, 40),
     )
     @example(2, 1, 40, 3)
     @example(2, 1, 3, 40)
+    @example(2, 1, 3, 600)  # every row holds a hit and runs the full sieve depth
+    @example(97, 1, 40, 40)  # every row's mask empties at the first modulus
+    @example(3, 1, 4, 600)
+    @example(3, 6, 40, 40)
     @example(1_000_003, 2, 40, 40)
     def test_matches_naive_scan(self, p, n, x_max, y_max):
-        report = brute_force(EquationInstance(p, n), SearchBox(x_max, y_max))
-        assert [t.as_tuple() for t in report.solutions] == naive_scan(p, n, x_max, y_max)
+        # Both with narrow rows stopping at their last survivor and with
+        # every row sieved until it empties or the moduli run out.
+        expected = naive_scan(p, n, x_max, y_max)
+        for narrow_bits in (pxpy.oracle._NARROW_ROW_BITS, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pxpy.oracle, "_NARROW_ROW_BITS", narrow_bits)
+                report = brute_force(EquationInstance(p, n), SearchBox(x_max, y_max))
+            assert [t.as_tuple() for t in report.solutions] == expected, narrow_bits
 
 
 class TestCrossCheck:
