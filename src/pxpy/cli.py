@@ -142,16 +142,6 @@ def _box(args: argparse.Namespace, cap: DigitCap) -> SearchBox:
     )
 
 
-def _workers(args: argparse.Namespace, cap: DigitCap) -> int | None:
-    """--workers as given; None leaves the default to the oracle."""
-    if args.workers is None:
-        return None
-    value = _parse_natural(args.workers, "--workers", cap)
-    if value < 1:
-        raise _InputError("--workers must be >= 1")
-    return value
-
-
 def _emit(command: str, payload, instance: EquationInstance | None = None) -> None:
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -236,12 +226,10 @@ def _box_payload(box: SearchBox) -> dict:
 def cmd_search(args: argparse.Namespace, cap: DigitCap) -> int:
     instance = _instance(args, cap)
     box = _box(args, cap)
-    workers = _workers(args, cap)
     cap.check_power(instance.p, max(box.x_max, box.y_max) + 1, "p^x + p^y")
-    report = brute_force(instance, box, workers=workers)
+    report = brute_force(instance, box)
     payload = {
         "box": _box_payload(box),
-        "workers": str(report.workers_used),
         "solutions": [_triple_payload(t) for t in report.solutions],
         "pairs_checked": str(report.pairs_checked),
         "elapsed_ms": report.elapsed_ms,
@@ -254,13 +242,12 @@ def cmd_crosscheck(args: argparse.Namespace, cap: DigitCap) -> int:
     primes = _parse_natural_list(args.p, "p", cap)
     ns = _parse_natural_list(args.n, "n", cap)
     box = _box(args, cap)
-    workers = _workers(args, cap)
     instances = [_equation(p, n) for p in primes for n in ns]
     cap.check_power(max(primes), max(box.x_max, box.y_max) + 1, "p^x + p^y")
     results = []
     all_consistent = True
     for instance in instances:
-        outcome = cross_check(instance, box, workers=workers)
+        outcome = cross_check(instance, box)
         all_consistent = all_consistent and outcome.consistent
         results.append(
             {
@@ -354,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance(sp)
     sp.add_argument("--x-max", required=True, metavar="XMAX")
     sp.add_argument("--y-max", required=True, metavar="YMAX")
-    sp.add_argument("--workers", default=None, metavar="W")
     _add_common(sp)
     sp.set_defaults(func=cmd_search)
 
@@ -365,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", default=DEFAULT_CROSSCHECK_NS, metavar="N[,N...]")
     sp.add_argument("--x-max", default=DEFAULT_CROSSCHECK_BOUND, metavar="XMAX")
     sp.add_argument("--y-max", default=DEFAULT_CROSSCHECK_BOUND, metavar="YMAX")
-    sp.add_argument("--workers", default=None, metavar="W")
     _add_common(sp)
     sp.set_defaults(func=cmd_crosscheck)
 

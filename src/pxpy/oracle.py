@@ -12,19 +12,13 @@ of p's powers only; a row forms p^a only if some pair survives it, and a
 survivor forms p^b, then the sum p^a + p^b and its exact root. No table of
 powers is kept, so memory stays near the size of one sum. The equation is
 symmetric in x and y, so each unordered pair is checked once.
-
-Searches may fan out across worker processes, but the returned report is
-identical for any worker count except for its timing and worker metadata.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, isqrt
 
 from .arithmetic import integer_root
@@ -38,15 +32,6 @@ __all__ = [
     "brute_force",
     "cross_check",
 ]
-
-# Boxes below this many (x, y) pairs run inline: process startup and the
-# serial re-check of every hit would cost more than the split scan saves.
-# Measured on 2 vCPUs (Python 3.11), inline against 2 workers, n = 1,
-# medians of 3: p = 2 at 3000x3000 130 vs 130 ms, 4000x4000 171 vs 152 ms,
-# 8000x8000 809 vs 560 ms; p = 3 at 3000x3000 111 vs 130 ms, 4000x4000 174
-# vs 188 ms, 8000x8000 681 vs 784 ms; p = 97 at 4000x4000 3 vs 15 ms. Only
-# p = 2 gains, from 4000x4000 on.
-_PARALLEL_MIN_PAIRS = 16_000_000
 
 # Sieve moduli: Cohen's 64, 63, 65 and 11, then the primes 17..113. A
 # modulus sharing a factor with p filters nothing, so the scan uses the
@@ -63,14 +48,6 @@ _SIEVE_DEPTH = 16
 # 120x120 from 0.77 to 0.35 ms and at 500x500 (1002-bit rows) from 3.3 to
 # 2.6 ms; at 1000x1000 (2002-bit rows) it cost p = 2 17% and p = 3 33%.
 _NARROW_ROW_BITS = 1024
-
-
-def default_workers() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,16 +71,14 @@ class SearchReport:
     """Everything a bounded search found, plus how much work it did.
 
     Every search checks the whole box, so the derived pairs_checked is
-    box.pairs. elapsed_ms and workers_used (1 when the box ran inline) are
-    excluded from equality so reports from runs with different worker
-    counts compare equal.
+    box.pairs. elapsed_ms is excluded from equality so reports of repeated
+    searches compare equal.
     """
 
     instance: EquationInstance
     box: SearchBox
     solutions: tuple[SolutionTriple, ...]
     elapsed_ms: float = field(compare=False)
-    workers_used: int = field(default=1, compare=False)
 
     @property
     def pairs_checked(self) -> int:
@@ -162,14 +137,14 @@ def _row_sieve(modulus: int, root_degree: int, p: int, width: int):
     return period, patterns, tile
 
 
-def _scan_rows(p: int, root_degree: int, rows: tuple[int, ...], b_max: int):
-    """Check every unordered pair {a, b} with a in rows and a <= b <= b_max.
+def _scan_rows(p: int, root_degree: int, a_max: int, b_max: int):
+    """Check every unordered pair {a, b} with a <= a_max and a <= b <= b_max.
 
-    Returns plain (a, b, z) tuples so results pickle cheaply. For each row
-    the sieve marks the b that survive every modulus as bits of one int,
-    and stops at the first modulus that leaves none; a modulus's patterns
-    are built the first time a row reaches it. A narrow row, whose sums
-    have at most _NARROW_ROW_BITS bits, also stops at its last survivor.
+    Returns plain (a, b, z) tuples. For each row a the sieve marks the b
+    that survive every modulus as bits of one int, and stops at the first
+    modulus that leaves none; a modulus's patterns are built the first time
+    a row reaches it. A narrow row, whose sums have at most
+    _NARROW_ROW_BITS bits, also stops at its last survivor.
     Only a row with survivors forms p^a, and only a survivor forms p^b (its
     own mask bit for p = 2), so no power of p is held beyond the row that
     needs it.
@@ -181,7 +156,7 @@ def _scan_rows(p: int, root_degree: int, rows: tuple[int, ...], b_max: int):
     n = root_degree // 2
     full = (1 << width) - 1
     hits = []
-    for a in rows:
+    for a in range(a_max + 1):
         survivors = full >> a << a
         for period, patterns, tile in sieves:
             survivors &= patterns[a % period] * tile
@@ -208,63 +183,33 @@ def _scan_rows(p: int, root_degree: int, rows: tuple[int, ...], b_max: int):
     return hits
 
 
-def _scan_in_pool(p: int, root_degree: int, rows: tuple[int, ...], b_max: int, workers: int):
-    """_scan_rows over rows split across worker processes; None if no pool starts."""
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    chunks = [rows[i::workers] for i in range(workers)]
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_scan_rows, repeat(p), repeat(root_degree), chunks, repeat(b_max))
-            )
-    except (OSError, BrokenProcessPool) as exc:
-        print(f"warning: process pool unavailable ({exc!r}); scanning inline", file=sys.stderr)
-        return None
-    return [hit for part in parts for hit in part]
-
-
 def brute_force(
-    instance: EquationInstance, box: SearchBox, workers: int | None = 1
+    instance: EquationInstance, box: SearchBox, workers: int | None = None
 ) -> SearchReport:
     """Search the box for solutions of p^x + p^y = z^(2n), exactly.
 
     Each unordered pair {a, b} with a <= b is checked once, a over the
-    shorter side of the box and b over the longer, and each hit is reported
-    in every orientation that lies in the box. workers=None uses the CPUs
-    this process may run on, and no count starts more workers than that or
-    than the box has rows; the work is split on rows and the merged result
-    is sorted, so output is schedule-independent. Boxes under
-    _PARALLEL_MIN_PAIRS pairs run inline, as does a box whose pool cannot
-    start (with one warning line on stderr).
+    shorter side of the box and b over the longer. Each hit is re-checked
+    once by verify, which is symmetric in x and y as the equation is, and
+    is then reported, sorted, in every orientation that lies in the box.
+    workers is ignored, and kept only for callers that still pass it.
     """
+    del workers
     started = time.perf_counter()
     a_max, b_max = sorted((box.x_max, box.y_max))
-    rows = tuple(range(a_max + 1))
-    if workers is None or workers > 1:
-        cpus = default_workers()
-        workers = cpus if workers is None else min(workers, cpus)
-    workers = max(1, min(workers, len(rows)))
-    raw = None
-    if workers > 1 and box.pairs >= _PARALLEL_MIN_PAIRS:
-        raw = _scan_in_pool(instance.p, instance.power, rows, b_max, workers)
-    if raw is None:
-        workers = 1
-        raw = _scan_rows(instance.p, instance.power, rows, b_max)
-    found = set()
-    for a, b, z in raw:
-        for x, y in ((a, b), (b, a)):
-            if x <= box.x_max and y <= box.y_max:
-                found.add(SolutionTriple(x, y, z))
-    solutions = tuple(sorted(found))
-    for triple in solutions:
-        if not verify(instance, triple):
+    found = []
+    for a, b, z in _scan_rows(instance.p, instance.power, a_max, b_max):
+        if not verify(instance, SolutionTriple(a, b, z)):
             raise InternalInconsistencyError(
-                f"search reported {triple.as_tuple()}, which fails re-checking"
+                f"search reported {(a, b, z)}, which fails re-checking"
             )
+        if a <= box.x_max and b <= box.y_max:
+            found.append((a, b, z))
+        if a != b and b <= box.x_max and a <= box.y_max:
+            found.append((b, a, z))
+    solutions = tuple(SolutionTriple(*hit) for hit in sorted(found))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return SearchReport(instance, box, solutions, elapsed_ms, workers)
+    return SearchReport(instance, box, solutions, elapsed_ms)
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,14 +236,16 @@ class CrossCheckResult:
 
 
 def cross_check(
-    instance: EquationInstance, box: SearchBox, workers: int | None = 1
+    instance: EquationInstance, box: SearchBox, workers: int | None = None
 ) -> CrossCheckResult:
     """Compare brute_force against the classifier's enumeration on a box.
 
     INCONSISTENT is a result, not an error; it means one side found a triple
     the other did not, which would falsify the classification at desk scale.
+    workers is ignored, and kept only for callers that still pass it.
     """
-    searched = set(brute_force(instance, box, workers=workers).solutions)
+    del workers
+    searched = set(brute_force(instance, box).solutions)
     expected = set(enumerate_solutions(instance, box.x_max, box.y_max))
     return CrossCheckResult(
         instance,

@@ -213,29 +213,17 @@ class TestTrace:
 class TestSearch:
     def test_box_report(self, capsys):
         code, out, _ = run(capsys, "search", "--p", "2", "--n", "1",
-                           "--x-max", "6", "--y-max", "6", "--workers", "1")
+                           "--x-max", "6", "--y-max", "6")
         assert code == 0
         (record,) = records(out)
         payload = record["payload"]
+        assert set(payload) == {"box", "solutions", "pairs_checked", "elapsed_ms"}
         assert payload["pairs_checked"] == "49"
         assert [(s["x"], s["y"], s["z"]) for s in payload["solutions"]] == [
             ("0", "3", "3"), ("1", "1", "2"), ("2", "5", "6"), ("3", "0", "3"),
             ("3", "3", "4"), ("5", "2", "6"), ("5", "5", "8"),
         ]
         assert isinstance(payload["elapsed_ms"], float)
-
-    def test_reports_workers_that_ran(self, capsys):
-        # A box this small runs inline whatever --workers asks for.
-        code, out, _ = run(capsys, "search", "--p", "2", "--n", "1",
-                           "--x-max", "5", "--y-max", "5", "--workers", "8")
-        assert code == 0
-        (record,) = records(out)
-        assert record["payload"]["workers"] == "1"
-
-    def test_bad_workers_exits_2(self, capsys):
-        code, _, err = run(capsys, "search", "--p", "2", "--n", "1",
-                           "--x-max", "4", "--y-max", "4", "--workers", "0")
-        assert code == 2 and "--workers" in err
 
     def test_root_degree_past_the_sum_is_fast(self, capsys, monkeypatch):
         # The digit cap does not bound n. 2^39 + 2^39 = 2^40 survives the
@@ -283,9 +271,9 @@ class TestCrosscheck:
         calls = []
         original = cli.cross_check
 
-        def counting(instance, box, workers=1):
+        def counting(instance, box):
             calls.append(instance)
-            return original(instance, box, workers)
+            return original(instance, box)
 
         monkeypatch.setattr(cli, "cross_check", counting)
         code, out, err = run(capsys, "crosscheck", "--p", "2,3,4", "--n", "1,2",
@@ -411,19 +399,19 @@ class TestProtocol:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("search", "--p", "2", "--n", "1", "--x-max", "4", "--y-max", "4", "--workers", "1_0"),
-            ("search", "--p", "2", "--n", "1", "--x-max", "4", "--y-max", "4", "--workers", "+2"),
-            ("crosscheck", "--workers", "\u0661"),
+            ("search", "--p", "2", "--n", "1", "--y-max", "4", "--x-max", "1_0"),
+            ("search", "--p", "2", "--n", "1", "--y-max", "4", "--x-max", "+2"),
+            ("crosscheck", "--y-max", "\u0661"),
             ("summary", "--digit-cap", "\u0661\u0660"),
             ("summary", "--digit-cap", "1_000"),
         ],
     )
     def test_option_numbers_are_ascii_decimal(self, capsys, argv):
-        # --workers and --digit-cap go through the same parser as every
+        # Box bounds and --digit-cap go through the same parser as every
         # other number, so int()'s extra spellings are bad input.
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error:") and argv[-2] in err
+        assert err.startswith("error:") and argv[-2].lstrip("-") in err
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"),
@@ -441,7 +429,7 @@ class TestProtocol:
             sys.set_int_max_str_digits(previous)
 
     def test_internal_inconsistency_exits_3(self, capsys, monkeypatch):
-        def broken(instance, box, workers=1):
+        def broken(instance, box):
             raise InternalInconsistencyError("forced for testing")
 
         monkeypatch.setattr(cli, "brute_force", broken)

@@ -1,8 +1,6 @@
 """Tests for the brute-force search and the classifier cross-check."""
 
-import concurrent.futures
 import tracemalloc
-from concurrent.futures.process import BrokenProcessPool
 from math import gcd
 
 import pytest
@@ -70,81 +68,10 @@ class TestBruteForce:
         keys = [t.as_tuple() for t in report.solutions]
         assert keys == sorted(set(keys))
 
-    def test_worker_count_does_not_change_report(self, monkeypatch):
-        # The threshold is lowered so that worker processes actually engage,
-        # and the CPU count raised so that three of them may.
-        monkeypatch.setattr(pxpy.oracle, "_PARALLEL_MIN_PAIRS", 0)
-        monkeypatch.setattr(pxpy.oracle, "default_workers", lambda: 3)
-        inst = EquationInstance(2, 1)
-        box = SearchBox(80, 80)
-        serial = brute_force(inst, box, workers=1)
-        parallel = brute_force(inst, box, workers=3)
-        default = brute_force(inst, box, workers=None)
-        assert serial == parallel == default  # timing and workers excluded from equality
-        assert serial.solutions == parallel.solutions
-        assert serial.workers_used == 1
-        assert parallel.workers_used == 3
-
-    def test_workers_capped_at_cpus_and_rows(self, monkeypatch):
-        # A stub executor records the pool size and maps inline, so no
-        # process starts whatever count is asked for.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(pxpy.oracle, "_PARALLEL_MIN_PAIRS", 0)
-        monkeypatch.setattr(pxpy.oracle, "default_workers", lambda: 4)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        inst = EquationInstance(2, 1)
-        box = SearchBox(30, 30)
-        report = brute_force(inst, box, workers=100_000)
-        assert report == brute_force(inst, box, workers=1)
-        assert report.workers_used == 4
-        assert brute_force(inst, box, workers=None).workers_used == 4
-        assert brute_force(inst, SearchBox(1, 30), workers=100_000).workers_used == 2
-        assert sizes == [4, 4, 2]
-
-    def test_inline_search_asks_no_cpu_count(self, monkeypatch):
-        asked = []
-
-        def cpus():
-            asked.append(1)
-            return 2
-
-        monkeypatch.setattr(pxpy.oracle, "default_workers", cpus)
-        inst = EquationInstance(2, 1)
-        assert brute_force(inst, SearchBox(30, 30), workers=1).workers_used == 1
-        assert brute_force(inst, SearchBox(30, 30), workers=0).workers_used == 1
-        assert asked == []
-        # Under the pool threshold: the count is resolved but the box runs inline.
-        assert brute_force(inst, SearchBox(30, 30), workers=2).workers_used == 1
-        assert asked == [1]
-
-    @pytest.mark.parametrize("error", [OSError("no processes"), BrokenProcessPool("worker died")])
-    def test_pool_that_cannot_start_falls_back_inline(self, monkeypatch, capsys, error):
-        def no_pool(*args, **kwargs):
-            raise error
-
-        monkeypatch.setattr(pxpy.oracle, "_PARALLEL_MIN_PAIRS", 0)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        inst = EquationInstance(2, 1)
-        box = SearchBox(30, 30)
-        report = brute_force(inst, box, workers=2)
-        assert report == brute_force(inst, box, workers=1)
-        assert report.workers_used == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "inline" in err
+    def test_workers_keyword_is_ignored(self):
+        inst, box = EquationInstance(2, 1), SearchBox(12, 9)
+        assert brute_force(inst, box, workers=2) == brute_force(inst, box)
+        assert cross_check(inst, box, workers=None) == cross_check(inst, box)
 
     def test_degenerate_boxes(self):
         report = brute_force(EquationInstance(2, 1), SearchBox(0, 3))
@@ -167,6 +94,23 @@ class TestBruteForce:
         with pytest.raises(InternalInconsistencyError):
             brute_force(EquationInstance(2, 1), SearchBox(3, 3))
         assert asked
+
+    @pytest.mark.parametrize("box", [SearchBox(20, 20), SearchBox(20, 6), SearchBox(6, 20)])
+    def test_each_hit_is_rechecked_once(self, monkeypatch, box):
+        # verify is symmetric in x and y, so one call covers both
+        # orientations of an unordered hit (a, b, z) with a <= b.
+        inst = EquationInstance(2, 1)
+        checked = []
+
+        def counting(instance, triple):
+            checked.append(triple.as_tuple())
+            return verify(instance, triple)
+
+        monkeypatch.setattr(pxpy.oracle, "verify", counting)
+        report = brute_force(inst, box)
+        hits = naive_scan(2, 1, box.x_max, box.y_max)
+        assert sorted(checked) == sorted({(min(x, y), max(x, y), z) for x, y, z in hits})
+        assert [t.as_tuple() for t in report.solutions] == hits
 
 
 def naive_scan(p, n, x_max, y_max):
@@ -239,7 +183,6 @@ class TestScanKernel:
         assert moduli == list(pxpy.oracle._coprime_moduli(p)[:built])
 
     def test_narrow_rows_stop_at_their_last_survivor(self, monkeypatch):
-        rows = tuple(range(41))
         depths = []
         row_sieve = pxpy.oracle._row_sieve
 
@@ -252,7 +195,7 @@ class TestScanKernel:
         for narrow_bits in (pxpy.oracle._NARROW_ROW_BITS, 0):
             monkeypatch.setattr(pxpy.oracle, "_NARROW_ROW_BITS", narrow_bits)
             depths.append(0)
-            results.append(pxpy.oracle._scan_rows(2, 2, rows, 40))
+            results.append(pxpy.oracle._scan_rows(2, 2, 40, 40))
         assert depths[0] < depths[1] == pxpy.oracle._SIEVE_DEPTH
         assert results[0] == results[1]
 
