@@ -16,7 +16,10 @@ plain data holding the instance and (a, b, c, d). `instantiate` (the only
 evaluator of a family) and `enumerate_solutions` turn them into concrete
 triples, `verify` checks a candidate directly against the equation (the
 only place it is evaluated), and `trace_candidate` replays the case
-analysis behind the classification to explain any verdict.
+analysis behind the classification to explain any verdict. Its `CaseTrace`
+is a tuple holding the case, the split z = p^e * k or w = z^n, and a
+reason code with its arguments; the prose of a rejection is rendered from
+`_REASONS` only when `rejection_reason` is read.
 
 Everything here is pure and immutable; values are safe to share across
 threads.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arithmetic import (
     _NARROW_BITS,
@@ -134,32 +138,73 @@ def _double_s(offset: int) -> str:
     return f"2s+{offset}" if offset else "2s"
 
 
-@dataclass(frozen=True, slots=True)
-class CaseTrace:
+# Every rejection's prose, by reason code. A trace keeps the code and the
+# arguments; rejection_reason formats them only when read. Templates name
+# only p, n and exponents, never z, w or k, so a rendered reason stays short
+# however large the candidate.
+_REASONS = {
+    "z_zero": "{0}^x + {0}^y >= 2 while 0^{1} = 0",
+    "ngt1_widths": (
+        "{0}^x + {0}^y and z^{1} cannot have the same bit length, "
+        "so (x, y, w) with w = z^{2} cannot solve the square equation"
+    ),
+    "ngt1_square": (
+        "(x, y, w) with w = z^{0} must solve the square equation, "
+        "which rejects it at {1.case_label}: {1.rejection_reason}"
+    ),
+    "equal_odd_p": "x = y gives 2*{0}^{1} = {2}^2, whose 2-adic valuation is odd for odd p",
+    "equal_even_x": (
+        "x = y = {0} gives {1}^2 = 2^{2} with an odd exponent, which is not a perfect square"
+    ),
+    "equal_wrong_root": "x = y = {0} forces {1} = 2^{2}; got another {1}",
+    "k2_is_3": "k^2 = 1 + 2 = 3 has no integer solution",
+    "valuation_gate": "{0} must equal 2e = {1} where e = v_{2}({3}) = {4}; got {0} = {5}",
+    "mihailescu_2": (
+        "k^2 - 2^d = 1 with d > 1 forces (k, d) = (3, 3) by "
+        "Mihailescu's theorem; got d = {0}, k {1} 3"
+    ),
+    "k2_is_4": "k^2 = 1 + 3 = 4 forces k = 2; got k != 2",
+    "mihailescu_3": "k^2 - 3^d = 1 with d = {0} > 1 has no solution by Mihailescu's theorem",
+    "large_p": "1 + {0}^d is never a perfect square for prime {0} > 3",
+}
+
+
+class CaseTrace(NamedTuple):
     """Which case of the analysis accepted or rejected a candidate.
 
-    A trace is a rejection iff it carries a rejection_reason; the derived
-    properties accepted and verdict read that one field. e and k are set on
-    the x != y paths of the n = 1 analysis, where z = p^e * k with p not
-    dividing k. w = z^n is set whenever n > 1, except when z^(2n) is wider
-    than 2048 bits and its bit length cannot match that of p^x + p^y: that
-    rejection is made from the bit lengths alone, without forming w, and
-    leaves w None.
+    A trace is a rejection iff it carries a reason_code, a key of _REASONS;
+    accepted and verdict derive from that one field, and rejection_reason
+    renders the code's template with reason_args each time it is read. e and
+    k are set on the x != y paths of the n = 1 analysis, where z = p^e * k
+    with p not dividing k. w = z^n is set whenever n > 1, except when
+    z^(2n) is wider than 2048 bits and its bit length cannot match that of
+    p^x + p^y: that rejection is made from the bit lengths alone, without
+    forming w, and leaves w None.
+
+    A trace is an immutable, hashable tuple of its six fields, so it also
+    equals a plain tuple of those fields.
     """
 
     case_label: str
     e: int | None = None
     k: int | None = None
     w: int | None = None
-    rejection_reason: str | None = None
+    reason_code: str | None = None
+    reason_args: tuple = ()
+
+    @property
+    def rejection_reason(self) -> str | None:
+        if self.reason_code is None:
+            return None
+        return _REASONS[self.reason_code].format(*self.reason_args)
 
     @property
     def accepted(self) -> bool:
-        return self.rejection_reason is None
+        return self.reason_code is None
 
     @property
     def verdict(self) -> str:
-        return "accepted" if self.accepted else "rejected"
+        return "accepted" if self.reason_code is None else "rejected"
 
 
 _PRECASE_Z_ZERO = "Pre-case (z = 0)"
@@ -291,36 +336,28 @@ def enumerate_solutions(
 def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseTrace:
     """Replay the case analysis on a candidate; the verdict matches verify().
 
-    Rejections are verdicts carrying a reason, never errors. Reasons name
-    only p, n and exponents, never z, w or k, so they stay short and
-    printable however large the candidate; those values are in the trace.
+    Rejections are verdicts carrying a reason code, never errors. The
+    reasons name only p, n and exponents, never z, w or k, so they stay
+    short and printable however large the candidate; those values are in
+    the trace.
     """
     p, n = instance.p, instance.n
     x, y, z = triple.x, triple.y, triple.z
     if z == 0:
-        return CaseTrace(
-            _PRECASE_Z_ZERO,
-            rejection_reason=f"{p}^x + {p}^y >= 2 while 0^{2 * n} = 0",
-        )
+        return CaseTrace(_PRECASE_Z_ZERO, None, None, None, "z_zero", (p, 2 * n))
     if n == 1:
-        return _trace_square(p, x, y, z)
+        return _trace_square(p, x, y, z, "z")
 
     # A wide w = z^n is formed only if the bit lengths allow a solution.
     if z.bit_length() * 2 * n > _NARROW_BITS and _widths_disagree(p, max(x, y), z, 2 * n):
-        return CaseTrace(
-            _ngt1_label(p),
-            rejection_reason=(
-                f"{p}^x + {p}^y and z^{2 * n} cannot have the same bit length, "
-                f"so (x, y, w) with w = z^{n} cannot solve the square equation"
-            ),
-        )
+        return CaseTrace(_ngt1_label(p), None, None, None, "ngt1_widths", (p, 2 * n, n))
     # (x, y, z) solves p^x + p^y = z^(2n) iff (x, y, w) with w = z^n solves
     # the square equation, so reduce and dispatch on the shape of w.
     w = _shifted_power(z, n)
-    inner = _trace_square(p, x, y, w, root_name="w")
+    inner = _trace_square(p, x, y, w, "w")
     if inner.accepted:
         if p == 2 and inner.case_label == "Case 1":
-            return CaseTrace("n>1 Case 1.2", w=w)
+            return CaseTrace("n>1 Case 1.2", None, None, w)
         # Case 1.1 (w = 3*2^s) and its p = 3 analogue (w = 2*3^s) require w
         # to carry a prime factor to the first power, impossible for w = z^n
         # with n > 1. Reaching this line means the arithmetic is broken.
@@ -328,11 +365,7 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
             f"(x, y, w) = ({x}, {y}, {w}) was accepted for the square "
             f"equation, but a w of that shape is never a perfect {n}-th power"
         )
-    reason = (
-        f"(x, y, w) with w = z^{n} must solve the square equation, "
-        f"which rejects it at {inner.case_label}: {inner.rejection_reason}"
-    )
-    return CaseTrace(_ngt1_label(p), w=w, rejection_reason=reason)
+    return CaseTrace(_ngt1_label(p), None, None, w, "ngt1_square", (n, inner))
 
 
 def _ngt1_label(p: int) -> str:
@@ -342,7 +375,13 @@ def _ngt1_label(p: int) -> str:
     return "n>1 Case 2.1" if p == 3 else "n>1 Case 2.2"
 
 
-def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseTrace:
+# Sub-case -> (its label with x < y, its label with x > y, which is Case 3).
+_SUBCASE_LABELS = {
+    sub: (f"Case {sub}", f"Case 3({sub})") for sub in ("2.1", "2.2", "2.3", "2.4", "2.5")
+}
+
+
+def _trace_square(p: int, x: int, y: int, z: int, root_name: str) -> CaseTrace:
     """Case analysis for p^x + p^y = z^2 with z >= 1.
 
     For x != y, the exact step is the p-adic split z = p^e * k with p not
@@ -353,35 +392,19 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
     odd p under CPython's division). Otherwise z's own valuation is taken.
     Either way there is one valuation call, and (e, k) is the same.
 
-    root_name only affects the wording of rejection reasons; the n > 1 path
+    root_name, z or w, only fills the rejection reasons; the n > 1 path
     reduces through here with the square root named w.
     """
     if x == y:
         # Case 1: the equation reads 2*p^x = z^2.
         if p != 2:
-            return CaseTrace(
-                "Case 1",
-                rejection_reason=(
-                    f"x = y gives 2*{p}^{x} = {root_name}^2, whose 2-adic "
-                    "valuation is odd for odd p"
-                ),
-            )
+            return CaseTrace("Case 1", None, None, None, "equal_odd_p", (p, x, root_name))
         if x % 2 == 0:
-            return CaseTrace(
-                "Case 1",
-                rejection_reason=(
-                    f"x = y = {x} gives {root_name}^2 = 2^{x + 1} with an "
-                    "odd exponent, which is not a perfect square"
-                ),
-            )
+            return CaseTrace("Case 1", None, None, None, "equal_even_x", (x, root_name, x + 1))
         # z == 2^((x+1)/2), tested without forming that power for a huge x
         if z & (z - 1) or z.bit_length() != (x + 1) // 2 + 1:
             return CaseTrace(
-                "Case 1",
-                rejection_reason=(
-                    f"x = y = {x} forces {root_name} = 2^{(x + 1) // 2}; "
-                    f"got another {root_name}"
-                ),
+                "Case 1", None, None, None, "equal_wrong_root", (x, root_name, (x + 1) // 2)
             )
         return CaseTrace("Case 1")
 
@@ -389,10 +412,14 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
     # lo < hi and label the swapped orientation as Case 3.
     swapped = x > y
     lo, hi = (y, x) if swapped else (x, y)
-    small_name = "y" if swapped else "x"
-
-    def label(sub: str) -> str:
-        return f"Case 3({sub})" if swapped else f"Case {sub}"
+    d = hi - lo  # equals hi - 2e whenever the valuation gate below holds
+    if p == 2:
+        sub = "2.1" if d == 1 else "2.2"
+    elif p == 3:
+        sub = "2.3" if d == 1 else "2.4"
+    else:
+        sub = "2.5"
+    label = _SUBCASE_LABELS[sub][swapped]
 
     quotient = None
     if p != 2 and z.bit_length() > _NARROW_BITS:
@@ -402,48 +429,22 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str = "z") -> CaseT
     else:
         e, k = p_adic_valuation(quotient, p)
         e += lo // 2
-    d = hi - lo  # equals hi - 2e whenever the valuation gate below holds
-    gate = lo == 2 * e
-    gate_reason = (
-        f"{small_name} must equal 2e = {2 * e} where e = v_{p}({root_name}) "
-        f"= {e}; got {small_name} = {lo}"
-    )
 
-    if p == 2:
-        if d == 1:
-            return CaseTrace(
-                label("2.1"), e=e, k=k,
-                rejection_reason="k^2 = 1 + 2 = 3 has no integer solution",
-            )
-        if not gate:
-            return CaseTrace(label("2.2"), e=e, k=k, rejection_reason=gate_reason)
-        if k != 3 or d != 3:
-            return CaseTrace(
-                label("2.2"), e=e, k=k,
-                rejection_reason=(
-                    f"k^2 - 2^d = 1 with d > 1 forces (k, d) = (3, 3) by "
-                    f"Mihailescu's theorem; got d = {d}, k {'=' if k == 3 else '!='} 3"
-                ),
-            )
-        return CaseTrace(label("2.2"), e=e, k=k)
-    if p == 3:
-        if d == 1:
-            if not gate:
-                return CaseTrace(label("2.3"), e=e, k=k, rejection_reason=gate_reason)
-            if k != 2:
-                return CaseTrace(
-                    label("2.3"), e=e, k=k,
-                    rejection_reason="k^2 = 1 + 3 = 4 forces k = 2; got k != 2",
-                )
-            return CaseTrace(label("2.3"), e=e, k=k)
+    if sub == "2.1":
+        return CaseTrace(label, e, k, None, "k2_is_3")
+    if sub == "2.4":
+        return CaseTrace(label, e, k, None, "mihailescu_3", (d,))
+    if sub == "2.5":
+        return CaseTrace(label, e, k, None, "large_p", (p,))
+    # Cases 2.2 and 2.3 hold only if the smaller exponent is 2e.
+    if lo != 2 * e:
+        small_name = "y" if swapped else "x"
         return CaseTrace(
-            label("2.4"), e=e, k=k,
-            rejection_reason=(
-                f"k^2 - 3^d = 1 with d = {d} > 1 has no solution by "
-                "Mihailescu's theorem"
-            ),
+            label, e, k, None, "valuation_gate", (small_name, 2 * e, p, root_name, e, lo)
         )
-    return CaseTrace(
-        label("2.5"), e=e, k=k,
-        rejection_reason=f"1 + {p}^d is never a perfect square for prime {p} > 3",
-    )
+    if sub == "2.2":
+        if k != 3 or d != 3:
+            return CaseTrace(label, e, k, None, "mihailescu_2", (d, "=" if k == 3 else "!="))
+    elif k != 2:
+        return CaseTrace(label, e, k, None, "k2_is_4")
+    return CaseTrace(label, e, k)

@@ -132,13 +132,13 @@ def _equation(p: int, n: int) -> EquationInstance:
 
 
 def _instance(args: argparse.Namespace, cap: DigitCap) -> EquationInstance:
-    return _equation(_parse_natural(args.p, "p", cap), _parse_natural(args.n, "n", cap))
+    return _equation(_parse_natural(args.p, "--p", cap), _parse_natural(args.n, "--n", cap))
 
 
 def _box(args: argparse.Namespace, cap: DigitCap) -> SearchBox:
     return SearchBox(
-        _parse_natural(args.x_max, "x-max", cap),
-        _parse_natural(args.y_max, "y-max", cap),
+        _parse_natural(args.x_max, "--x-max", cap),
+        _parse_natural(args.y_max, "--y-max", cap),
     )
 
 
@@ -171,7 +171,7 @@ def cmd_classify(args: argparse.Namespace, cap: DigitCap) -> int:
 
 def cmd_enumerate(args: argparse.Namespace, cap: DigitCap) -> int:
     instance = _instance(args, cap)
-    bound = _parse_natural(args.max_exponent, "max-exponent", cap)
+    bound = _parse_natural(args.max_exponent, "--max-exponent", cap)
     cap.check_power(instance.p, bound + 2, "the enumerated solutions")
     triples = enumerate_solutions(instance, bound)
     if args.format == "tsv":
@@ -185,9 +185,9 @@ def cmd_enumerate(args: argparse.Namespace, cap: DigitCap) -> int:
 
 
 def _parse_triple(args: argparse.Namespace, instance: EquationInstance, cap: DigitCap) -> SolutionTriple:
-    x = _parse_natural(args.x, "x", cap)
-    y = _parse_natural(args.y, "y", cap)
-    z = _parse_natural(args.z, "z", cap)
+    x = _parse_natural(args.x, "-x", cap)
+    y = _parse_natural(args.y, "-y", cap)
+    z = _parse_natural(args.z, "-z", cap)
     cap.check_power(instance.p, max(x, y), "p^x + p^y")
     cap.check_power(z, instance.power, "z^(2n)")
     return SolutionTriple(x, y, z)
@@ -213,6 +213,7 @@ def cmd_trace(args: argparse.Namespace, cap: DigitCap) -> int:
         "k": None if trace.k is None else str(trace.k),
         "w": None if trace.w is None else str(trace.w),
         "verdict": trace.verdict,
+        "reason_code": trace.reason_code,
         "reason": trace.rejection_reason,
     }
     _emit("trace", payload, instance)
@@ -239,8 +240,8 @@ def cmd_search(args: argparse.Namespace, cap: DigitCap) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace, cap: DigitCap) -> int:
-    primes = _parse_natural_list(args.p, "p", cap)
-    ns = _parse_natural_list(args.n, "n", cap)
+    primes = _parse_natural_list(args.p, "--p", cap)
+    ns = _parse_natural_list(args.n, "--n", cap)
     box = _box(args, cap)
     instances = [_equation(p, n) for p in primes for n in ns]
     cap.check_power(max(primes), max(box.x_max, box.y_max) + 1, "p^x + p^y")

@@ -12,6 +12,8 @@ import pxpy.arithmetic
 import pxpy.classifier
 from pxpy.arithmetic import _NARROW_BITS, _short_quotient
 from pxpy.classifier import (
+    _REASONS,
+    CaseTrace,
     EquationInstance,
     SolutionFamily,
     SolutionTriple,
@@ -637,6 +639,100 @@ class TestTraceCandidate:
                 assert triple.z == p**trace.e * trace.k
                 assert trace.k % p != 0
                 assert min(triple.x, triple.y) == 2 * trace.e
+
+
+
+# One candidate per reason code, with the reason's full text.
+_GOLDEN_REASONS = [
+    ("z_zero", 2, 1, (1, 2, 0), "Pre-case (z = 0)", "2^x + 2^y >= 2 while 0^2 = 0"),
+    ("ngt1_widths", 3, 2, (1, 2, 10**1000), "n>1 Case 2.1",
+     "3^x + 3^y and z^4 cannot have the same bit length, "
+     "so (x, y, w) with w = z^2 cannot solve the square equation"),
+    ("ngt1_square", 2, 2, (1, 1, 2), "n>1 Case 1",
+     "(x, y, w) with w = z^2 must solve the square equation, "
+     "which rejects it at Case 1: x = y = 1 forces w = 2^1; got another w"),
+    ("equal_odd_p", 5, 1, (3, 3, 2), "Case 1",
+     "x = y gives 2*5^3 = z^2, whose 2-adic valuation is odd for odd p"),
+    ("equal_even_x", 2, 1, (2, 2, 3), "Case 1",
+     "x = y = 2 gives z^2 = 2^3 with an odd exponent, which is not a perfect square"),
+    ("equal_wrong_root", 2, 1, (1, 1, 3), "Case 1", "x = y = 1 forces z = 2^1; got another z"),
+    ("k2_is_3", 2, 1, (0, 1, 5), "Case 2.1", "k^2 = 1 + 2 = 3 has no integer solution"),
+    ("valuation_gate", 3, 1, (5, 4, 6), "Case 3(2.3)",
+     "y must equal 2e = 2 where e = v_3(z) = 1; got y = 4"),
+    ("mihailescu_2", 2, 1, (0, 5, 3), "Case 2.2",
+     "k^2 - 2^d = 1 with d > 1 forces (k, d) = (3, 3) by Mihailescu's theorem; "
+     "got d = 5, k = 3"),
+    ("k2_is_4", 3, 1, (0, 1, 4), "Case 2.3", "k^2 = 1 + 3 = 4 forces k = 2; got k != 2"),
+    ("mihailescu_3", 3, 1, (3, 5, 12), "Case 2.4",
+     "k^2 - 3^d = 1 with d = 2 > 1 has no solution by Mihailescu's theorem"),
+    ("large_p", 7, 1, (0, 2, 5), "Case 2.5",
+     "1 + 7^d is never a perfect square for prime 7 > 3"),
+]
+
+
+class TestReasonCodes:
+    @pytest.mark.parametrize(
+        "code, p, n, triple, label, reason",
+        _GOLDEN_REASONS,
+        ids=[row[0] for row in _GOLDEN_REASONS],
+    )
+    def test_golden_reason(self, code, p, n, triple, label, reason):
+        trace = trace_candidate(EquationInstance(p, n), SolutionTriple(*triple))
+        assert (trace.case_label, trace.reason_code) == (label, code)
+        assert trace.rejection_reason == reason
+        assert trace.verdict == "rejected" and not trace.accepted
+
+    def test_golden_table_names_every_code(self):
+        assert sorted(row[0] for row in _GOLDEN_REASONS) == sorted(_REASONS)
+
+    def test_every_code_is_reached_and_renders_fully(self):
+        seen = set()
+        for p in (2, 3, 5, 7):
+            for n in (1, 2):
+                inst = EquationInstance(p, n)
+                for x in range(7):
+                    for y in range(7):
+                        for z in range(65):
+                            trace = trace_candidate(inst, SolutionTriple(x, y, z))
+                            seen.add(trace.reason_code)
+                            if trace.reason_code is not None:
+                                assert "{" not in trace.rejection_reason
+        wide_miss = trace_candidate(EquationInstance(2, 2), SolutionTriple(0, 0, 1 << 2000))
+        assert "{" not in wide_miss.rejection_reason
+        seen.add(wide_miss.reason_code)
+        assert seen == set(_REASONS) | {None}
+
+    def test_nested_reason_keeps_the_square_trace(self):
+        trace = trace_candidate(EquationInstance(3, 2), SolutionTriple(2, 3, 6))
+        n, inner = trace.reason_args
+        assert n == 2 and inner.case_label == "Case 2.3" and inner.w is None
+        assert trace.rejection_reason.endswith(f"{inner.case_label}: {inner.rejection_reason}")
+
+    def test_accepted_trace_has_no_code(self):
+        trace = trace_candidate(EquationInstance(2, 1), SolutionTriple(0, 3, 3))
+        assert trace.reason_code is None and trace.reason_args == ()
+        assert trace.rejection_reason is None and trace.verdict == "accepted"
+
+
+class TestCaseTraceRecord:
+    def test_fields_cannot_be_assigned(self):
+        trace = trace_candidate(EquationInstance(5, 1), SolutionTriple(0, 2, 5))
+        with pytest.raises(AttributeError):
+            trace.e = 1
+        with pytest.raises(AttributeError):
+            trace.reason_code = None
+
+    def test_hashable_and_equal_by_value(self):
+        inst = EquationInstance(2, 2)
+        first = trace_candidate(inst, SolutionTriple(1, 1, 2))
+        again = trace_candidate(inst, SolutionTriple(1, 1, 2))
+        assert first == again and hash(first) == hash(again)
+        assert len({first, again, trace_candidate(inst, SolutionTriple(3, 3, 2))}) == 2
+
+    def test_equals_the_plain_tuple_of_its_fields(self):
+        trace = trace_candidate(EquationInstance(7, 1), SolutionTriple(0, 2, 5))
+        assert trace == ("Case 2.5", 0, 5, None, "large_p", (7,))
+        assert trace == CaseTrace("Case 2.5", 0, 5, None, "large_p", (7,))
 
 
 class TestEnumerate:

@@ -153,6 +153,7 @@ class TestTrace:
         assert payload["e"] == "0" and payload["k"] == "3"
         assert payload["w"] is None
         assert payload["verdict"] == "accepted" and payload["reason"] is None
+        assert payload["reason_code"] is None
 
     def test_rejected_case_2_4_exits_1(self, capsys):
         code, out, _ = run(capsys, "trace", "--p", "3", "--n", "1",
@@ -161,7 +162,10 @@ class TestTrace:
         (record,) = records(out)
         assert record["payload"]["case"] == "Case 2.4"
         assert record["payload"]["verdict"] == "rejected"
-        assert record["payload"]["reason"]
+        assert record["payload"]["reason_code"] == "mihailescu_3"
+        assert record["payload"]["reason"] == (
+            "k^2 - 3^d = 1 with d = 2 > 1 has no solution by Mihailescu's theorem"
+        )
 
     def test_case_1_accept(self, capsys):
         code, out, _ = run(capsys, "trace", "--p", "2", "--n", "1",
@@ -404,14 +408,19 @@ class TestProtocol:
             ("crosscheck", "--y-max", "\u0661"),
             ("summary", "--digit-cap", "\u0661\u0660"),
             ("summary", "--digit-cap", "1_000"),
+            ("classify", "--n", "1", "--p", "\u0663"),
+            ("enumerate", "--p", "2", "--n", "1", "--max-exponent", "1_0"),
+            ("trace", "--p", "2", "--n", "1", "-x", "1", "-y", "1", "-z", "+2"),
+            ("verify", "--p", "2", "--n", "1", "-z", "2", "-x", "1", "-y", " 1.0"),
         ],
     )
     def test_option_numbers_are_ascii_decimal(self, capsys, argv):
-        # Box bounds and --digit-cap go through the same parser as every
-        # other number, so int()'s extra spellings are bad input.
+        # Every number option goes through one parser, so int()'s extra
+        # spellings are bad input, and the error names the option as it is
+        # spelled on the command line.
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error:") and argv[-2].lstrip("-") in err
+        assert err.startswith("error:") and argv[-2] in err
 
     @pytest.mark.skipif(
         not hasattr(sys, "set_int_max_str_digits"),
