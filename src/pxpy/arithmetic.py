@@ -58,9 +58,16 @@ class RootResult:
 
 
 def integer_root(m: int, k: int) -> RootResult:
-    """Floor k-th root of m, by integer Newton iteration with floor correction.
+    """Floor k-th root of m, by integer Newton iteration.
 
-    Exact at any size; never touches floating point.
+    Let r = floor(m^(1/k)). For any x > r the step
+    x' = floor(((k - 1)*x + floor(m / x^(k-1))) / k) satisfies r <= x' < x:
+    x' < x because x^k > m, and x' >= r by the AM-GM inequality, since
+    floor((a + floor(b)) / k) = floor((a + b) / k) for an integer a. The
+    iteration starts at 2^ceil(bits(m)/k) > r, so it decreases strictly and
+    stops exactly at r, the first x whose step does not decrease (Brent and
+    Zimmermann, Modern Computer Arithmetic, 1.5.2, RootInt). Exact at any
+    size; never touches floating point.
 
     Raises ValueError if k < 1 or m < 0.
     """
@@ -72,19 +79,12 @@ def integer_root(m: int, k: int) -> RootResult:
         return RootResult(m, True)
     if k >= m.bit_length():  # 2 <= m < 2^k: the floor root is 1, inexact
         return RootResult(1, False)
-    # Start above the true root (2^ceil(bits/k)); the iteration then
-    # decreases monotonically onto the floor.
     x = 1 << -(-m.bit_length() // k)
     while True:
         stepped = ((k - 1) * x + m // x ** (k - 1)) // k
         if stepped >= x:
-            break
+            return RootResult(x, x**k == m)
         x = stepped
-    while x**k > m:
-        x -= 1
-    while (x + 1) ** k <= m:
-        x += 1
-    return RootResult(x, x**k == m)
 
 
 def p_adic_valuation(m: int, p: int) -> tuple[int, int]:

@@ -69,12 +69,10 @@ class DigitCap:
     The power check is conservative: it trips only when the result provably
     exceeds the cap, so nothing within the cap is ever refused (results up to
     a small factor past the cap may still be computed). digits=0 disables
-    the cap.
+    the cap; digits is never negative, being a _parse_natural result.
     """
 
     def __init__(self, digits: int):
-        if digits < 0:
-            raise _InputError("--digit-cap must be >= 0")
         self.digits = digits
 
     def check_literal(self, text: str, name: str) -> None:
@@ -364,14 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Python 3.10.0-3.10.6 have no int<->str limit to lift or restore.
-    str_limit = (
-        sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    )
+    str_limit = sys.get_int_max_str_digits()
     try:
         cap = DigitCap(_parse_natural(args.digit_cap, "--digit-cap", DigitCap(0)))
-        if str_limit is not None:
-            _allow_large_int_strings(cap.digits, str_limit)
+        _allow_large_int_strings(cap.digits, str_limit)
         return args.func(args, cap)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -385,8 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
     finally:
-        if str_limit is not None:
-            sys.set_int_max_str_digits(str_limit)
+        sys.set_int_max_str_digits(str_limit)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pxpy.arithmetic
 import pxpy.classifier
-from pxpy.arithmetic import _NARROW_BITS, _short_quotient
+from pxpy.arithmetic import _NARROW_BITS, _short_quotient, eval_lhs
 from pxpy.classifier import (
     _REASONS,
     CaseTrace,
@@ -335,6 +335,44 @@ class TestVerifyAgainstNaive:
         assert not naive_verify(2, 1, x, y, collided)
         assert len(exact_steps) == 2
 
+    @pytest.mark.parametrize(
+        "triple, label, code",
+        [
+            # d = 2074, so p^d is wider than 2048 bits: both sides are formed.
+            ((1, 2075, 2**1038), "Case 2.2", "valuation_gate"),
+            # x = y: L = 2101 is odd, so the split rejects without a quotient.
+            ((2100, 2100, 2**1081), "Case 1", "equal_even_x"),
+        ],
+    )
+    def test_residue_collisions_settled_without_the_quotient(
+        self, monkeypatch, triple, label, code
+    ):
+        # 2 has order 61 mod 2^61 - 1, and both candidates pass the
+        # bit-length window and the residue test, so only verify's exact
+        # branches after them can reject.
+        inst, (x, y, z) = EquationInstance(2, 1), triple
+        m = _RESIDUE_MODULUS
+        assert (pow(2, x, m) + pow(2, y, m) - pow(z, 2, m)) % m == 0
+        assert not pxpy.classifier._widths_disagree(2, max(x, y), z, 2)
+        lhs_calls = []
+
+        def counting_eval_lhs(*args):
+            lhs_calls.append(args)
+            return eval_lhs(*args)
+
+        def no_short_quotient(*args):
+            raise AssertionError("the candidate reached the p-adic split's quotient")
+
+        monkeypatch.setattr(pxpy.classifier, "eval_lhs", counting_eval_lhs)
+        monkeypatch.setattr(pxpy.classifier, "_short_quotient", no_short_quotient)
+        verdict = verify(inst, SolutionTriple(x, y, z))
+        assert verdict is False
+        assert lhs_calls == ([(2, x, y)] if x != y else [])
+        monkeypatch.undo()
+        trace = trace_candidate(inst, SolutionTriple(x, y, z))
+        assert verdict == naive_verify(2, 1, x, y, z) == trace.accepted
+        assert (trace.case_label, trace.reason_code) == (label, code)
+
     def test_wide_near_misses_form_no_side(self, monkeypatch):
         def no_exact_step(*args):
             raise AssertionError("a near miss reached the exact comparison")
@@ -601,10 +639,6 @@ class TestTraceCandidate:
                                 == verify(inst, triple)
                             ), (p, n, x, y, z)
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "set_int_max_str_digits"),
-        reason="this interpreter has no int-to-str digit limit",
-    )
     def test_huge_rejected_candidates_at_default_str_limit(self):
         # Rejection reasons must not spell out z, w or k: at the interpreter's
         # default int-to-str limit that would raise for values over 4300

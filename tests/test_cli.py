@@ -28,14 +28,12 @@ def records(out):
 
 def decimal(value):
     """str(value) with the interpreter's int-to-str limit lifted, then restored."""
-    previous = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if previous is not None:
-        sys.set_int_max_str_digits(0)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return str(value)
     finally:
-        if previous is not None:
-            sys.set_int_max_str_digits(previous)
+        sys.set_int_max_str_digits(previous)
 
 
 class TestClassify:
@@ -385,10 +383,6 @@ class TestProtocol:
                          "--digit-cap", "0")
         assert code == 0
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "set_int_max_str_digits"),
-        reason="this interpreter has no int-to-str digit limit",
-    )
     @pytest.mark.parametrize("cap", ["0", "5000", "100000", "536870912", str(10**30)])
     def test_int_str_limit_restored(self, capsys, cap):
         previous = sys.get_int_max_str_digits()
@@ -412,20 +406,18 @@ class TestProtocol:
             ("enumerate", "--p", "2", "--n", "1", "--max-exponent", "1_0"),
             ("trace", "--p", "2", "--n", "1", "-x", "1", "-y", "1", "-z", "+2"),
             ("verify", "--p", "2", "--n", "1", "-z", "2", "-x", "1", "-y", " 1.0"),
+            ("crosscheck", "--p", ","),
+            ("crosscheck", "--n", " , "),
         ],
     )
     def test_option_numbers_are_ascii_decimal(self, capsys, argv):
         # Every number option goes through one parser, so int()'s extra
-        # spellings are bad input, and the error names the option as it is
-        # spelled on the command line.
+        # spellings are bad input, as is a list option naming no number, and
+        # the error names the option as it is spelled on the command line.
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and argv[-2] in err
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "set_int_max_str_digits"),
-        reason="this interpreter has no int-to-str digit limit",
-    )
     def test_digit_cap_past_the_int_str_limit_exits_2(self, capsys):
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)

@@ -1,14 +1,13 @@
 """Tests for the brute-force search and the classifier cross-check."""
 
 import tracemalloc
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pxpy.oracle
-from pxpy.arithmetic import integer_root
 from pxpy.classifier import EquationInstance, SolutionTriple, enumerate_solutions, verify
 from pxpy.errors import InternalInconsistencyError
 from pxpy.oracle import SearchBox, brute_force, cross_check
@@ -113,14 +112,30 @@ class TestBruteForce:
         assert [t.as_tuple() for t in report.solutions] == hits
 
 
+def exact_nth_root(m, n):
+    """The w with w^n == m, found by bisection, or None if there is none."""
+    lo, hi = 0, 1 << -(-m.bit_length() // n)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**n < m:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo**n == m else None
+
+
 def naive_scan(p, n, x_max, y_max):
-    """Reference scan: a degree-2n root of every pair's sum."""
+    """Reference scan: every pair's sum tested for a 2n-th power with
+    math.isqrt and bisection, independent of the oracle's integer_root."""
     hits = []
     for x in range(x_max + 1):
         for y in range(y_max + 1):
-            root = integer_root(p**x + p**y, 2 * n)
-            if root.exact:
-                hits.append((x, y, root.root))
+            total = p**x + p**y
+            square_root = isqrt(total)
+            if square_root * square_root == total:
+                z = exact_nth_root(square_root, n)
+                if z is not None:
+                    hits.append((x, y, z))
     return hits
 
 
