@@ -2,7 +2,9 @@
 
 Machine-readable JSON records go to stdout, one object per line; diagnostics
 go to stderr. Every integer crosses the boundary as a decimal string so
-arbitrary precision survives serialization.
+arbitrary precision survives serialization. The --digit-cap bounds every
+integer a command reads or writes, so the interpreter's int-to-str limit is
+lifted only while a command runs and then restored.
 
 Each command parses and checks all of its input before it computes
 anything. Exit codes: 0 success / certified / consistent; 1 well-formed
@@ -41,10 +43,6 @@ DEFAULT_CROSSCHECK_BOUND = "14"
 _LOG2_10_NUM = 332_193
 _LOG2_10_DEN = 100_000
 
-# The largest limit sys.set_int_max_str_digits accepts (a C int); a cap that
-# needs more lifts the limit entirely, as a disabled cap does.
-_C_INT_MAX = 2**31 - 1
-
 # classify renders the n>1, p=2 family for one concrete n; the summary states
 # it for every n, and perfbench's cli workload pins this text byte for byte.
 _SYMBOLIC_N_FAMILY = "x=2s+1, y=2s+1, z=2^((s+1)/n), s>=0, s = n-1 (mod n)"
@@ -63,59 +61,33 @@ class _InputError(Exception):
     """Input refused before any computation, invalid or past the digit cap: exits 2."""
 
 
-class DigitCap:
-    """Guard against materializing integers beyond a decimal-digit budget.
+def _check_power(cap: int, base: int, exponent: int, name: str) -> None:
+    """Refuse base^exponent before it is formed if it is past the digit cap.
 
-    The power check is conservative: it trips only when the result provably
+    The check is conservative: it trips only when the result provably
     exceeds the cap, so nothing within the cap is ever refused (results up to
-    a small factor past the cap may still be computed). digits=0 disables
-    the cap; digits is never negative, being a _parse_natural result.
+    a small factor past the cap may still be computed). cap=0 disables it.
     """
-
-    def __init__(self, digits: int):
-        self.digits = digits
-
-    def check_literal(self, text: str, name: str) -> None:
-        if self.digits and len(text) > self.digits:
-            raise _InputError(
-                f"{name} has {len(text)} digits; the cap is {self.digits} "
-                "(adjust with --digit-cap)"
-            )
-
-    def check_power(self, base: int, exponent: int, name: str) -> None:
-        if not self.digits or base < 2:
-            return
-        # base^exponent >= 2^(exponent*(bits-1)); if that lower bound already
-        # reaches 10^digits the result certainly exceeds the cap.
-        low_bits = exponent * (base.bit_length() - 1)
-        if low_bits * _LOG2_10_DEN >= self.digits * _LOG2_10_NUM:
-            raise _InputError(
-                f"{name} would exceed the {self.digits}-digit cap "
-                "(adjust with --digit-cap)"
-            )
+    # base^exponent >= 2^(exponent*(bits-1)), a bound <= 0 for base 0 or 1; if it
+    # reaches 10^cap the result certainly exceeds the cap.
+    low_bits = exponent * (base.bit_length() - 1)
+    if cap and low_bits * _LOG2_10_DEN >= cap * _LOG2_10_NUM:
+        raise _InputError(f"{name} would exceed the {cap}-digit cap (adjust with --digit-cap)")
 
 
-def _allow_large_int_strings(cap_digits: int, current: int) -> None:
-    """Lift the interpreter's int<->str conversion limit up to the cap's needs."""
-    needed = 4 * cap_digits
-    if cap_digits == 0 or needed > _C_INT_MAX:
-        sys.set_int_max_str_digits(0)
-    elif current != 0 and needed > current:
-        sys.set_int_max_str_digits(needed)
-
-
-def _parse_natural(text: str, name: str, cap: DigitCap) -> int:
+def _parse_natural(text: str, name: str, cap: int) -> int:
     text = text.strip()
     if not (text.isascii() and text.isdigit()):
         raise _InputError(f"{name} must be a non-negative decimal integer, got {text!r}")
-    cap.check_literal(text, name)
+    if cap and len(text) > cap:
+        raise _InputError(f"{name} has {len(text)} digits; the cap is {cap} (adjust with --digit-cap)")
     try:
         return int(text)
     except ValueError:  # only a --digit-cap literal can outrun the int-to-str limit
         raise _InputError(f"{name} has more digits than this interpreter converts") from None
 
 
-def _parse_natural_list(text: str, name: str, cap: DigitCap) -> list[int]:
+def _parse_natural_list(text: str, name: str, cap: int) -> list[int]:
     values = [_parse_natural(item, name, cap) for item in text.split(",") if item.strip()]
     if not values:
         raise _InputError(f"{name} must list at least one value")
@@ -129,11 +101,11 @@ def _equation(p: int, n: int) -> EquationInstance:
         raise _InputError(str(exc)) from None
 
 
-def _instance(args: argparse.Namespace, cap: DigitCap) -> EquationInstance:
+def _instance(args: argparse.Namespace, cap: int) -> EquationInstance:
     return _equation(_parse_natural(args.p, "--p", cap), _parse_natural(args.n, "--n", cap))
 
 
-def _box(args: argparse.Namespace, cap: DigitCap) -> SearchBox:
+def _box(args: argparse.Namespace, cap: int) -> SearchBox:
     return SearchBox(
         _parse_natural(args.x_max, "--x-max", cap),
         _parse_natural(args.y_max, "--y-max", cap),
@@ -156,7 +128,7 @@ def _triple_payload(triple: SolutionTriple) -> dict:
     return {"x": str(triple.x), "y": str(triple.y), "z": str(triple.z)}
 
 
-def cmd_classify(args: argparse.Namespace, cap: DigitCap) -> int:
+def cmd_classify(args: argparse.Namespace, cap: int) -> int:
     instance = _instance(args, cap)
     families = classify(instance)
     payload = {
@@ -167,10 +139,10 @@ def cmd_classify(args: argparse.Namespace, cap: DigitCap) -> int:
     return 0
 
 
-def cmd_enumerate(args: argparse.Namespace, cap: DigitCap) -> int:
+def cmd_enumerate(args: argparse.Namespace, cap: int) -> int:
     instance = _instance(args, cap)
     bound = _parse_natural(args.max_exponent, "--max-exponent", cap)
-    cap.check_power(instance.p, bound + 2, "the enumerated solutions")
+    _check_power(cap, instance.p, bound + 2, "the enumerated solutions")
     triples = enumerate_solutions(instance, bound)
     if args.format == "tsv":
         print("x\ty\tz")
@@ -182,16 +154,16 @@ def cmd_enumerate(args: argparse.Namespace, cap: DigitCap) -> int:
     return 0
 
 
-def _parse_triple(args: argparse.Namespace, instance: EquationInstance, cap: DigitCap) -> SolutionTriple:
+def _parse_triple(args: argparse.Namespace, instance: EquationInstance, cap: int) -> SolutionTriple:
     x = _parse_natural(args.x, "-x", cap)
     y = _parse_natural(args.y, "-y", cap)
     z = _parse_natural(args.z, "-z", cap)
-    cap.check_power(instance.p, max(x, y), "p^x + p^y")
-    cap.check_power(z, instance.power, "z^(2n)")
+    _check_power(cap, instance.p, max(x, y), "p^x + p^y")
+    _check_power(cap, z, instance.power, "z^(2n)")
     return SolutionTriple(x, y, z)
 
 
-def cmd_verify(args: argparse.Namespace, cap: DigitCap) -> int:
+def cmd_verify(args: argparse.Namespace, cap: int) -> int:
     instance = _instance(args, cap)
     triple = _parse_triple(args, instance, cap)
     certified = verify(instance, triple)
@@ -200,7 +172,7 @@ def cmd_verify(args: argparse.Namespace, cap: DigitCap) -> int:
     return 0 if certified else 1
 
 
-def cmd_trace(args: argparse.Namespace, cap: DigitCap) -> int:
+def cmd_trace(args: argparse.Namespace, cap: int) -> int:
     instance = _instance(args, cap)
     triple = _parse_triple(args, instance, cap)
     trace = trace_candidate(instance, triple)
@@ -222,10 +194,10 @@ def _box_payload(box: SearchBox) -> dict:
     return {"x_max": str(box.x_max), "y_max": str(box.y_max)}
 
 
-def cmd_search(args: argparse.Namespace, cap: DigitCap) -> int:
+def cmd_search(args: argparse.Namespace, cap: int) -> int:
     instance = _instance(args, cap)
     box = _box(args, cap)
-    cap.check_power(instance.p, max(box.x_max, box.y_max) + 1, "p^x + p^y")
+    _check_power(cap, instance.p, max(box.x_max, box.y_max) + 1, "p^x + p^y")
     report = brute_force(instance, box)
     payload = {
         "box": _box_payload(box),
@@ -237,12 +209,12 @@ def cmd_search(args: argparse.Namespace, cap: DigitCap) -> int:
     return 0
 
 
-def cmd_crosscheck(args: argparse.Namespace, cap: DigitCap) -> int:
+def cmd_crosscheck(args: argparse.Namespace, cap: int) -> int:
     primes = _parse_natural_list(args.p, "--p", cap)
     ns = _parse_natural_list(args.n, "--n", cap)
     box = _box(args, cap)
     instances = [_equation(p, n) for p in primes for n in ns]
-    cap.check_power(max(primes), max(box.x_max, box.y_max) + 1, "p^x + p^y")
+    _check_power(cap, max(primes), max(box.x_max, box.y_max) + 1, "p^x + p^y")
     results = []
     all_consistent = True
     for instance in instances:
@@ -266,7 +238,7 @@ def cmd_crosscheck(args: argparse.Namespace, cap: DigitCap) -> int:
     return 0 if all_consistent else 1
 
 
-def cmd_summary(args: argparse.Namespace, cap: DigitCap) -> int:
+def cmd_summary(args: argparse.Namespace, cap: int) -> int:
     del cap
     regimes = []
     for n_label, p_label, p, n in _REGIMES:
@@ -364,8 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     str_limit = sys.get_int_max_str_digits()
     try:
-        cap = DigitCap(_parse_natural(args.digit_cap, "--digit-cap", DigitCap(0)))
-        _allow_large_int_strings(cap.digits, str_limit)
+        cap = _parse_natural(args.digit_cap, "--digit-cap", 0)
+        # The cap bounds every integer read or written, so the interpreter's limit is spare.
+        sys.set_int_max_str_digits(0)
         return args.func(args, cap)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -383,16 +383,58 @@ class TestProtocol:
                          "--digit-cap", "0")
         assert code == 0
 
-    @pytest.mark.parametrize("cap", ["0", "5000", "100000", "536870912", str(10**30)])
-    def test_int_str_limit_restored(self, capsys, cap):
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [pytest.param(("summary", "--digit-cap", cap), 0, id=cap)
+         for cap in ("0", "5000", "100000", "536870912", str(10**30))]
+        + [
+            pytest.param(("verify", "--p", "2", "--n", "1", "-x", "3", "-y", "0", "-z", "4"),
+                         1, id="exit1"),
+            pytest.param(("verify", "--p", "2", "--n", "1", "-x", "10000", "-y", "0", "-z", "3",
+                          "--digit-cap", "1000"), 2, id="exit2"),
+            pytest.param(("verify", "--p", "2", "--n", "1", "-x", "3", "-y", "0", "-z", "3"),
+                         3, id="exit3"),
+        ],
+    )
+    def test_int_str_limit_restored(self, capsys, monkeypatch, argv, expected):
+        # main lifts the limit once --digit-cap is parsed; every exit taken
+        # after that lift, exit 3 from a library ValueError included, hands
+        # the caller's limit back.
+        def broken(instance, triple):
+            raise ValueError("forced for testing")
+
+        if expected == 3:
+            monkeypatch.setattr(cli, "verify", broken)
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
         try:
-            code, _, _ = run(capsys, "summary", "--digit-cap", cap)
-            assert code == 0
+            code, _, _ = run(capsys, *argv)
+            assert code == expected
             assert sys.get_int_max_str_digits() == 4300
         finally:
             sys.set_int_max_str_digits(previous)
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (("--p", "2", "--n", "1", "-x", "3321", "-y", "0", "-z", "3"), False),
+            (("--p", "2", "--n", "1", "-x", "3322", "-y", "0", "-z", "3"), True),
+            (("--p", "2", "--n", "1660", "-x", "0", "-y", "0", "-z", "3"), False),
+            (("--p", "2", "--n", "1661", "-x", "0", "-y", "0", "-z", "3"), True),
+        ],
+        ids=["2^3321", "2^3322", "3^3320", "3^3322"],
+    )
+    def test_digit_cap_power_boundary(self, capsys, argv, refused):
+        # At cap 1000 the power check trips iff exponent*(bits(base)-1) >=
+        # 1000*log2(10) = 3321.9...: 2^3322 is refused, and 3^3320, with
+        # 1585 digits, is let through, as the check is conservative.
+        code, out, err = run(capsys, "verify", *argv, "--digit-cap", "1000")
+        if refused:
+            assert code == 2 and out == ""
+            assert "would exceed the 1000-digit cap" in err
+        else:
+            assert code == 1 and err == ""
+            assert records(out)[0]["payload"]["certified"] is False
 
     @pytest.mark.parametrize(
         "argv",
