@@ -1,4 +1,4 @@
-"""Exact arbitrary-precision integer primitives.
+"""Exact integer primitives: floor roots, p-adic valuations, primality, p^x + p^y.
 
 Plain Python ints carry every value (they are unbounded), all results are
 computed exactly with no floating point anywhere, and every function is a
@@ -21,14 +21,6 @@ __all__ = [
 # Largest value below which the strong-probable-prime witness tiers used by
 # is_prime() are proven to leave no composite undetected.
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
-
-# Width in bits up to which an operand counts as short: verify forms both
-# sides of a candidate directly up to it, and _short_quotient returns
-# quotients no wider.
-_NARROW_BITS = 2048
-# _short_quotient tests m against a power of p below 2^_WORD_BITS before it
-# forms any wide p^e; 30 bits is one CPython digit, the fastest divisor.
-_WORD_BITS = 30
 
 # (bound, witnesses): the witness set is complete for every n < bound.
 _WITNESS_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
@@ -183,47 +175,3 @@ def eval_lhs(p: int, x: int, y: int) -> int:
         return (1 << x) + (1 << y)
     lo, hi = (x, y) if x <= y else (y, x)
     return p**lo * (p ** (hi - lo) + 1)
-
-
-def _shifted_power(z: int, k: int) -> int:
-    """z^k for z, k >= 0, with z's factor 2^t raised as a shift.
-
-    (z >> t)^k << t*k, as GMP's mpz_pow_ui does, so a power of 2 costs a
-    shift and 3 * 2^s costs a power of 3.
-    """
-    t = (z & -z).bit_length() - 1
-    if t <= 0:  # z odd, or z = 0 (t = -1)
-        return z**k
-    return (z >> t) ** k << (t * k)
-
-
-def _short_quotient(m: int, p: int, e: int) -> int | None:
-    """m / p^e when p^e divides m and the quotient has at most _NARROW_BITS
-    bits; None otherwise. m >= 1, p >= 2, e >= 0.
-
-    For p = 2 this is a trailing-zero count and a shift. Any other p^e is
-    formed only once two cheap tests leave a short quotient possible: a
-    bit-length estimate, which bounds log2(p) between (b - 1)/t and b/t for
-    the b-bit power p^t with t = max(1, 30 // bits(p)), and divisibility of
-    m by p^min(e, t).
-    The one division then has a short quotient, so it costs time linear in
-    m even with schoolbook division. A caller that predicts e from the
-    equation's exponents thus splits a wide m without a wide valuation.
-    """
-    m_bits = m.bit_length()
-    if p == 2:
-        if m_bits - e > _NARROW_BITS or (m & -m).bit_length() <= e:
-            return None
-        return m >> e
-    t = max(1, _WORD_BITS // p.bit_length())
-    word = p**t
-    b = word.bit_length()
-    # Certainly p^e > m, or certainly m / p^e is wider than _NARROW_BITS.
-    if e * (b - 1) >= m_bits * t or (m_bits - 1 - _NARROW_BITS) * t >= e * b:
-        return None
-    if m % (word if e >= t else p**e):
-        return None
-    quotient, remainder = divmod(m, p**e)
-    if remainder or quotient.bit_length() > _NARROW_BITS:
-        return None
-    return quotient

@@ -31,14 +31,7 @@ import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arithmetic import (
-    _NARROW_BITS,
-    _shifted_power,
-    _short_quotient,
-    eval_lhs,
-    is_prime,
-    p_adic_valuation,
-)
+from .arithmetic import eval_lhs, is_prime, p_adic_valuation
 from .errors import InternalInconsistencyError
 
 __all__ = [
@@ -57,9 +50,13 @@ __all__ = [
 # instances over a few primes. typed=True keeps 7.0 from borrowing 7's entry.
 _is_prime_memo = functools.lru_cache(maxsize=1024, typed=True)(is_prime)
 
-# verify forms both sides at once only while each is at most _NARROW_BITS
-# (2048) bits; up to about this width that costs no more than its residue
-# test.
+# Width in bits up to which an operand counts as short. It bounds verify's
+# direct comparison (to about here no dearer than its residue test), the
+# trace's shortcuts past it, and the widest quotient _short_quotient returns.
+_NARROW_BITS = 2048
+# _short_quotient tests m against a power of p below 2^_WORD_BITS before it
+# forms any wide p^e; 30 bits is one CPython digit, the fastest divisor.
+_WORD_BITS = 30
 # The prime 2^61 - 1: verify compares wider candidates modulo it first.
 _RESIDUE_MODULUS = (1 << 61) - 1
 
@@ -263,6 +260,50 @@ def _widths_disagree(p: int, high: int, z: int, power: int) -> bool:
     return high * (p_bits - 1) >= z_bits * power or (z_bits - 1) * power > high * p_bits + 1
 
 
+def _shifted_power(z: int, k: int) -> int:
+    """z^k for z, k >= 0, with z's factor 2^t raised as a shift.
+
+    (z >> t)^k << t*k, as GMP's mpz_pow_ui does, so a power of 2 costs a
+    shift and 3 * 2^s costs a power of 3.
+    """
+    t = (z & -z).bit_length() - 1
+    if t <= 0:  # z odd, or z = 0 (t = -1)
+        return z**k
+    return (z >> t) ** k << (t * k)
+
+
+def _short_quotient(m: int, p: int, e: int) -> int | None:
+    """m / p^e when p^e divides m and the quotient has at most _NARROW_BITS
+    bits; None otherwise. m >= 1, p >= 2, e >= 0.
+
+    For p = 2 this is a trailing-zero count and a shift. Any other p^e is
+    formed only once two cheap tests leave a short quotient possible: a
+    bit-length estimate, which bounds log2(p) between (b - 1)/t and b/t for
+    the b-bit power p^t with t = max(1, 30 // bits(p)), and divisibility of
+    m by p^min(e, t).
+    The one division then has a short quotient, so it costs time linear in
+    m even with schoolbook division. A caller that predicts e from the
+    equation's exponents thus splits a wide m without a wide valuation.
+    """
+    m_bits = m.bit_length()
+    if p == 2:
+        if m_bits - e > _NARROW_BITS or (m & -m).bit_length() <= e:
+            return None
+        return m >> e
+    t = max(1, _WORD_BITS // p.bit_length())
+    word = p**t
+    b = word.bit_length()
+    # Certainly p^e > m, or certainly m / p^e is wider than _NARROW_BITS.
+    if e * (b - 1) >= m_bits * t or (m_bits - 1 - _NARROW_BITS) * t >= e * b:
+        return None
+    if m % (word if e >= t else p**e):
+        return None
+    quotient, remainder = divmod(m, p**e)
+    if remainder or quotient.bit_length() > _NARROW_BITS:
+        return None
+    return quotient
+
+
 def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
     """True iff p^x + p^y = z^(2n) holds exactly.
 
@@ -339,7 +380,9 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
     Rejections are verdicts carrying a reason code, never errors. The
     reasons name only p, n and exponents, never z, w or k, so they stay
     short and printable however large the candidate; those values are in
-    the trace.
+    the trace. For n > 1 it forms w = z^n wherever CaseTrace sets w, though
+    verify never needs it: a library caller pays for w's size, which only
+    the CLI's digit cap bounds.
     """
     p, n = instance.p, instance.n
     x, y, z = triple.x, triple.y, triple.z

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 import pxpy.arithmetic
 import pxpy.classifier
-from pxpy.arithmetic import _NARROW_BITS, _short_quotient, eval_lhs
+from pxpy.arithmetic import eval_lhs
 from pxpy.classifier import (
+    _NARROW_BITS,
     _REASONS,
     CaseTrace,
     EquationInstance,
     SolutionFamily,
     SolutionTriple,
+    _shifted_power,
+    _short_quotient,
     classify,
     enumerate_solutions,
     instantiate,
@@ -175,6 +178,80 @@ class TestInstantiate:
                         continue
                     triple = instantiate(family, s)
                     assert verify(inst, triple), (p, n, s)
+
+
+class TestShiftedPower:
+    def test_matches_power(self):
+        # zero, one, odd, and even with odd part 1, 3 and 5^25
+        for z in (0, 1, 7, 5**30, 2, 12, 1 << 40, 10**25):
+            for k in (0, 1, 2, 5):
+                assert _shifted_power(z, k) == z**k, (z, k)
+
+    def test_wide_three_times_power_of_two(self):
+        z = 3 << 50_000
+        for k in (1, 2, 6):
+            assert _shifted_power(z, k) == z**k
+
+
+def naive_short_quotient(m, p, e):
+    """m / p^e if exact and at most _NARROW_BITS wide, else None, by one division."""
+    quotient, remainder = divmod(m, p**e)
+    return None if remainder or quotient.bit_length() > _NARROW_BITS else quotient
+
+
+# Bases below, at and above the one-digit word, and composites.
+QUOTIENT_BASES = (2, 3, 5, 97, 1_000_003, 2**31 - 1, 2**61 - 1, 4, 6, 10)
+
+
+class TestShortQuotient:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from(QUOTIENT_BASES),
+        e=st.integers(0, 1500),
+        delta=st.integers(-3, 3),
+        c_bits=st.one_of(st.integers(1, 40), st.integers(_NARROW_BITS - 40, _NARROW_BITS + 40)),
+        c_seed=st.integers(0, 2**64),
+        divisible=st.booleans(),
+    )
+    def test_matches_naive_division(self, p, e, delta, c_bits, c_seed, divisible):
+        c = (1 << (c_bits - 1)) | (c_seed % (1 << (c_bits - 1)) if c_bits > 1 else 0)
+        if divisible:
+            c *= p
+        m = p**e * c
+        guess = max(0, e + delta)
+        assert _short_quotient(m, p, guess) == naive_short_quotient(m, p, guess)
+
+    @pytest.mark.parametrize("p", QUOTIENT_BASES)
+    def test_quotient_width_threshold(self, p):
+        # The widest quotient returned is exactly _NARROW_BITS bits.
+        for e in (0, 1, 40, 700):
+            for c in ((1 << _NARROW_BITS) - 1, 1 << _NARROW_BITS, 1 << (_NARROW_BITS - 1)):
+                m = p**e * c
+                for guess in (e - 1, e, e + 1):
+                    if guess >= 0:
+                        expected = naive_short_quotient(m, p, guess)
+                        assert _short_quotient(m, p, guess) == expected, (e, c, guess)
+
+    def test_zero_exponent_and_powers(self):
+        for p in QUOTIENT_BASES:
+            assert _short_quotient(1, p, 0) == 1
+            assert _short_quotient(1, p, 1) is None
+            assert _short_quotient(p**500, p, 500) == 1
+            assert _short_quotient(p**500, p, 501) is None
+
+    @pytest.mark.parametrize("p, e, cofactor", [
+        (2, 300_000, 3),
+        (3, 100_000, 2),
+        (97, 20_000, 5),
+    ])
+    def test_large_exact(self, p, e, cofactor):
+        m = cofactor * p**e
+        assert _short_quotient(m, p, e) == cofactor
+        assert _short_quotient(m, p, e - 1) == cofactor * p
+        assert _short_quotient(m, p, e + 1) is None
+        assert _short_quotient(m, p, e // 2) is None  # divides, but wide
+        assert _short_quotient(m + p**e, p, e) == cofactor + 1
+        assert _short_quotient(m + 1, p, e) is None
 
 
 class TestVerify:

@@ -1,7 +1,9 @@
 """Every exported name resolves, so a deleted type leaves no stale export."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pxpy
 
@@ -38,3 +40,17 @@ def test_package_exports_exactly_the_modules_exports():
     ]
     assert sorted(pxpy.__all__) == sorted(module_names)
     assert len(set(module_names)) == len(module_names)
+
+
+def test_no_module_imports_a_siblings_private_name():
+    # A private name is one module's decision; a sibling that needs it
+    # means that decision is spread over two modules.
+    leaks = [
+        f"{path.name}:{node.lineno} imports {alias.name} from .{node.module or ''}"
+        for path in sorted(Path(pxpy.__path__[0]).glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert leaks == []
