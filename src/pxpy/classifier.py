@@ -17,9 +17,9 @@ evaluator of a family) and `enumerate_solutions` turn them into concrete
 triples, `verify` checks a candidate directly against the equation (the
 only place it is evaluated), and `trace_candidate` replays the case
 analysis behind the classification to explain any verdict. Its `CaseTrace`
-is a tuple holding the case, the split z = p^e * k or w = z^n, and a
-reason code with its arguments; the prose of a rejection is rendered from
-`_REASONS` only when `rejection_reason` is read.
+is a tuple holding the case, the split z = p^e * k, w = z^n on an n > 1
+acceptance, and a reason code with its arguments; the prose of a rejection
+is rendered from `_REASONS` only when `rejection_reason` is read.
 
 Everything here is pure and immutable; values are safe to share across
 threads.
@@ -51,14 +51,17 @@ __all__ = [
 _is_prime_memo = functools.lru_cache(maxsize=1024, typed=True)(is_prime)
 
 # Width in bits up to which an operand counts as short. It bounds verify's
-# direct comparison (to about here no dearer than its residue test), the
-# trace's shortcuts past it, and the widest quotient _short_quotient returns.
+# direct comparison (at 2048 bits within 1.5x of its residue test), the
+# trace's n > 1 width test and guided split of z past it, and the widest
+# quotient _short_quotient returns.
 _NARROW_BITS = 2048
 # _short_quotient tests m against a power of p below 2^_WORD_BITS before it
 # forms any wide p^e; 30 bits is one CPython digit, the fastest divisor.
 _WORD_BITS = 30
-# The prime 2^61 - 1: verify compares wider candidates modulo it first.
-_RESIDUE_MODULUS = (1 << 61) - 1
+# The prime (2^37 - 1)/223, modulo which 2 has order 37: verify compares
+# wider candidates modulo it first. Below 2^30 it is one CPython digit, so a
+# wide z is reduced in one linear pass, not by multi-digit long division.
+_RESIDUE_MODULUS = 616_318_177
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,10 +176,9 @@ class CaseTrace(NamedTuple):
     accepted and verdict derive from that one field, and rejection_reason
     renders the code's template with reason_args each time it is read. e and
     k are set on the x != y paths of the n = 1 analysis, where z = p^e * k
-    with p not dividing k. w = z^n is set whenever n > 1, except when
-    z^(2n) is wider than 2048 bits and its bit length cannot match that of
-    p^x + p^y: that rejection is made from the bit lengths alone, without
-    forming w, and leaves w None.
+    with p not dividing k. The square equation's trace inside an n > 1
+    rejection's reason_args sets e = v_p(w) for w = z^n and leaves k None,
+    as k_w = k_z^n is never 2 or 3. w is set only on an n > 1 acceptance.
 
     A trace is an immutable, hashable tuple of its six fields, so it also
     equals a plain tuple of those fields.
@@ -313,7 +315,7 @@ def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
 
     - the bit lengths of the sides can agree: p^h <= p^x + p^y <= 2*p^h for
       h = max(x, y), and 2^((b-1)*2n) <= z^(2n) < 2^(b*2n) for a b-bit z;
-    - the sides agree modulo the prime 2^61 - 1 (three modular pows).
+    - the sides agree modulo the one-digit prime _RESIDUE_MODULUS (three pows).
 
     So a non-member, near misses included, almost never forms a big
     integer, and huge exponents with a small z are refused at once. A
@@ -380,35 +382,25 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
     Rejections are verdicts carrying a reason code, never errors. The
     reasons name only p, n and exponents, never z, w or k, so they stay
     short and printable however large the candidate; those values are in
-    the trace. For n > 1 it forms w = z^n wherever CaseTrace sets w, though
-    verify never needs it: a library caller pays for w's size, which only
-    the CLI's digit cap bounds.
+    the trace. For n > 1 no rejection forms w = z^n; an acceptance forms it
+    as a shift, w being a power of 2.
     """
     p, n = instance.p, instance.n
     x, y, z = triple.x, triple.y, triple.z
     if z == 0:
         return CaseTrace(_PRECASE_Z_ZERO, None, None, None, "z_zero", (p, 2 * n))
     if n == 1:
-        return _trace_square(p, x, y, z, "z")
+        return _trace_square(p, x, y, z, 1)
 
-    # A wide w = z^n is formed only if the bit lengths allow a solution.
     if z.bit_length() * 2 * n > _NARROW_BITS and _widths_disagree(p, max(x, y), z, 2 * n):
         return CaseTrace(_ngt1_label(p), None, None, None, "ngt1_widths", (p, 2 * n, n))
     # (x, y, z) solves p^x + p^y = z^(2n) iff (x, y, w) with w = z^n solves
-    # the square equation, so reduce and dispatch on the shape of w.
-    w = _shifted_power(z, n)
-    inner = _trace_square(p, x, y, w, "w")
+    # the square equation, so reduce to it. Only its Case 1 can accept: Case
+    # 1.1 (w = 3*2^s) and its p = 3 analogue (w = 2*3^s) are no n-th powers.
+    inner = _trace_square(p, x, y, z, n)
     if inner.accepted:
-        if p == 2 and inner.case_label == "Case 1":
-            return CaseTrace("n>1 Case 1.2", None, None, w)
-        # Case 1.1 (w = 3*2^s) and its p = 3 analogue (w = 2*3^s) require w
-        # to carry a prime factor to the first power, impossible for w = z^n
-        # with n > 1. Reaching this line means the arithmetic is broken.
-        raise InternalInconsistencyError(
-            f"(x, y, w) = ({x}, {y}, {w}) was accepted for the square "
-            f"equation, but a w of that shape is never a perfect {n}-th power"
-        )
-    return CaseTrace(_ngt1_label(p), None, None, w, "ngt1_square", (n, inner))
+        return CaseTrace("n>1 Case 1.2", None, None, _shifted_power(z, n))
+    return CaseTrace(_ngt1_label(p), None, None, None, "ngt1_square", (n, inner))
 
 
 def _ngt1_label(p: int) -> str:
@@ -424,28 +416,41 @@ _SUBCASE_LABELS = {
 }
 
 
-def _trace_square(p: int, x: int, y: int, z: int, root_name: str) -> CaseTrace:
-    """Case analysis for p^x + p^y = z^2 with z >= 1.
+def _split(z: int, p: int, guess: int) -> tuple[int, int]:
+    """(e, k) with z = p^e * k, p not dividing k and z >= 1, by one valuation.
 
-    For x != y, the exact step is the p-adic split z = p^e * k with p not
-    dividing k. For odd p and z wider than 2048 bits, z is first divided by
-    p^(min(x, y) // 2), the power the Case 2 gate predicts: when that leaves
-    a short quotient q (see _short_quotient), e is min(x, y) // 2 + v_p(q)
-    and k is q's cofactor, with no valuation of z itself (near-quadratic for
-    odd p under CPython's division). Otherwise z's own valuation is taken.
-    Either way there is one valuation call, and (e, k) is the same.
-
-    root_name, z or w, only fills the rejection reasons; the n > 1 path
-    reduces through here with the square root named w.
+    For odd p and z wider than 2048 bits, z is first divided by p^guess, the
+    power the caller predicts: a short quotient q (see _short_quotient)
+    gives e = guess + v_p(q) and q's cofactor with no valuation of z itself,
+    which is near-quadratic for odd p under CPython's division.
     """
+    if p != 2 and z.bit_length() > _NARROW_BITS:
+        quotient = _short_quotient(z, p, guess)
+        if quotient is not None:
+            e, k = p_adic_valuation(quotient, p)
+            return e + guess, k
+    return p_adic_valuation(z, p)
+
+
+def _trace_square(p: int, x: int, y: int, z: int, n: int) -> CaseTrace:
+    """Case analysis for p^x + p^y = w^2 with w = z^n, z >= 1, never forming w.
+
+    Case 1 holds iff z is a power of 2 with n*(bits(z) - 1) = (x + 1)/2. For
+    x != y the exact step is w = p^e * k with p not dividing k: _split takes
+    z's split from the power p^(min(x, y) // 2n) the Case 2 gate predicts,
+    and e = n*v_p(z). For n > 1, k = k_z^n is never 2 or 3, so every
+    sub-case rejects whatever k is, and k is left None. The rejection
+    reasons name the root z for n = 1 and w otherwise.
+    """
+    root_name = "z" if n == 1 else "w"
     if x == y:
-        # Case 1: the equation reads 2*p^x = z^2.
+        # Case 1: the equation reads 2*p^x = w^2.
         if p != 2:
             return CaseTrace("Case 1", None, None, None, "equal_odd_p", (p, x, root_name))
         if x % 2 == 0:
             return CaseTrace("Case 1", None, None, None, "equal_even_x", (x, root_name, x + 1))
-        # z == 2^((x+1)/2), tested without forming that power for a huge x
-        if z & (z - 1) or z.bit_length() != (x + 1) // 2 + 1:
+        # w == 2^((x+1)/2), tested without forming that power for a huge x
+        if z & (z - 1) or n * (z.bit_length() - 1) != (x + 1) // 2:
             return CaseTrace(
                 "Case 1", None, None, None, "equal_wrong_root", (x, root_name, (x + 1) // 2)
             )
@@ -464,14 +469,9 @@ def _trace_square(p: int, x: int, y: int, z: int, root_name: str) -> CaseTrace:
         sub = "2.5"
     label = _SUBCASE_LABELS[sub][swapped]
 
-    quotient = None
-    if p != 2 and z.bit_length() > _NARROW_BITS:
-        quotient = _short_quotient(z, p, lo // 2)
-    if quotient is None:
-        e, k = p_adic_valuation(z, p)
-    else:
-        e, k = p_adic_valuation(quotient, p)
-        e += lo // 2
+    e, k = _split(z, p, lo // (2 * n))
+    if n > 1:
+        e, k = n * e, None
 
     if sub == "2.1":
         return CaseTrace(label, e, k, None, "k2_is_3")

@@ -297,7 +297,7 @@ def naive_verify(p, n, x, y, z):
 # each p and n some shapes are members and the rest near them.
 _SHAPES = ((3, 0, 3), (0, 3, 3), (1, 0, 2), (0, 1, 2), (-1, -1, 1))
 _NEAR_MISSES = (None, "z+1", "z-1", "x+2", "y+2")
-_RESIDUE_MODULUS = pxpy.classifier._RESIDUE_MODULUS  # 2^61 - 1
+_RESIDUE_MODULUS = pxpy.classifier._RESIDUE_MODULUS  # (2^37 - 1)/223
 
 
 def _shaped_candidate(p, n, e, shape, how):
@@ -343,7 +343,7 @@ class TestVerifyAgainstNaive:
     """verify against the bare equation, on both sides of its size threshold.
 
     verify forms both sides directly up to 2048 bits; wider candidates go
-    through a bit-length window and a residue test mod 2^61 - 1 first.
+    through a bit-length window and a residue test mod (2^37 - 1)/223 first.
     e up to 12 keeps both sides of every shape narrow, and e from 520 makes
     p^max(x, y) wider than 2048 bits for every p and n here. A wide
     candidate that passes both is settled by the p-adic split through
@@ -393,7 +393,7 @@ class TestVerifyAgainstNaive:
         assert sorted(set(members)) == [(2, 1), (2, 2), (3, 1)]
 
     def test_residue_collision_is_rejected_exactly(self, monkeypatch):
-        # z + (2^61 - 1) has the same residue, so only the exact step, the
+        # z + _RESIDUE_MODULUS has the same residue, so only the exact step, the
         # p-adic split through _short_quotient, can reject it.
         inst = EquationInstance(2, 1)
         x, y, z = _shaped_candidate(2, 1, 3000, (3, 0, 3), None)
@@ -415,18 +415,19 @@ class TestVerifyAgainstNaive:
     @pytest.mark.parametrize(
         "triple, label, code",
         [
-            # d = 2074, so p^d is wider than 2048 bits: both sides are formed.
-            ((1, 2075, 2**1038), "Case 2.2", "valuation_gate"),
+            # d = 2072, so p^d is wider than 2048 bits: both sides are formed.
+            ((1, 2073, 2**1037), "Case 2.2", "valuation_gate"),
             # x = y: L = 2101 is odd, so the split rejects without a quotient.
-            ((2100, 2100, 2**1081), "Case 1", "equal_even_x"),
+            ((2100, 2100, 2**1069), "Case 1", "equal_even_x"),
         ],
     )
     def test_residue_collisions_settled_without_the_quotient(
         self, monkeypatch, triple, label, code
     ):
-        # 2 has order 61 mod 2^61 - 1, and both candidates pass the
-        # bit-length window and the residue test, so only verify's exact
-        # branches after them can reject.
+        # 2 has order 37 mod _RESIDUE_MODULUS (2073 = 1 and 2074 = 2, 2101
+        # and 2138 = 29 mod 37), and both candidates pass the bit-length
+        # window and the residue test, so only verify's exact branches after
+        # them can reject.
         inst, (x, y, z) = EquationInstance(2, 1), triple
         m = _RESIDUE_MODULUS
         assert (pow(2, x, m) + pow(2, y, m) - pow(z, 2, m)) % m == 0
@@ -543,9 +544,9 @@ class TestVerifyHugeExponents:
         [
             (2, 1, (10**12, 0, 3)),
             (2, 10**10, (0, 0, 2)),
-            # 2 has order 61 mod 2^61 - 1, so this passes the residue test:
-            # only the bit-length window keeps it from forming 2^(6.1e13).
-            (2, 1, (3 + 61 * 10**12, 0, 3)),
+            # 2 has order 37 mod _RESIDUE_MODULUS, so this passes the residue
+            # test: only the bit-length window keeps it from forming 2^(3.7e13).
+            (2, 1, (3 + 37 * 10**12, 0, 3)),
             (3, 1, (10**15, 10**15, 2)),
             (97, 10**9, (5, 0, 10**40)),
         ],
@@ -556,22 +557,35 @@ class TestVerifyHugeExponents:
         assert time.perf_counter() - start < 1.0
 
     def test_residue_period_of_two(self):
-        # The third case above does collide modulo 2^61 - 1.
-        assert pow(2, 3 + 61 * 10**12, _RESIDUE_MODULUS) + 1 == 9
+        # The third case above does collide modulo _RESIDUE_MODULUS.
+        assert pow(2, 3 + 37 * 10**12, _RESIDUE_MODULUS) + 1 == 9
+
+    def test_residue_modulus_is_a_one_digit_prime_of_order_37_for_two(self):
+        # One CPython digit makes the reduction of a wide z a single-digit
+        # division; the collision tests above rely on the order of 2.
+        q = _RESIDUE_MODULUS
+        assert pxpy.arithmetic.is_prime(q)
+        assert q < 1 << sys.int_info.bits_per_digit
+        assert pow(2, 37, q) == 1 and q * 223 == 2**37 - 1
 
     def test_exact_step_with_a_huge_n_forms_no_power(self):
         # z = 2 * 3^10 and x = 2n*10 + 1, y = 2n*10 pass the bit-length
-        # window, and since 2 has order 61 mod 2^61 - 1 and 61 | 2n - 2,
-        # also the residue test. The split then finds k = 2 against
-        # c = 3 + 1 = 4; k^(2n) would have 2*10^10 bits.
-        n = 9_999_999_987
+        # window, and since 2 has order 37 mod _RESIDUE_MODULUS and n = 1
+        # (mod 37), so 37 | 2n - 2, also the residue test. The split then
+        # finds k = 2 against c = 3 + 1 = 4; k^(2n) would have 2*10^10 bits.
+        # The trace splits z, never w = z^n of 1.7*10^11 bits.
+        n = 9_999_999_991
+        assert n % 37 == 1
         inst = EquationInstance(3, n)
         triple = SolutionTriple(2 * n * 10 + 1, 2 * n * 10, 2 * 3**10)
         m = _RESIDUE_MODULUS
         assert (pow(3, triple.x, m) + pow(3, triple.y, m) - pow(triple.z, 2 * n, m)) % m == 0
         started = time.perf_counter()
         assert not verify(inst, triple)
+        trace = trace_candidate(inst, triple)
         assert time.perf_counter() - started < 1.0
+        inner = trace.reason_args[1]
+        assert (inner.case_label, inner.e, inner.reason_code) == ("Case 3(2.3)", 10 * n, "k2_is_4")
 
 
 class TestTraceCandidate:
@@ -633,14 +647,16 @@ class TestTraceCandidate:
         assert trace.e is None and trace.k is None
 
     def test_ngt1_rejections_by_base(self):
+        # A rejection never forms w = z^n, so it reports none.
         rejected = trace_candidate(EquationInstance(2, 2), SolutionTriple(1, 1, 2))
         assert rejected.case_label == "n>1 Case 1" and not rejected.accepted
-        assert rejected.w == 4
+        assert rejected.w is None
         rejected = trace_candidate(EquationInstance(3, 2), SolutionTriple(2, 3, 6))
         assert rejected.case_label == "n>1 Case 2.1" and not rejected.accepted
-        assert rejected.w == 36
+        assert rejected.w is None
         rejected = trace_candidate(EquationInstance(5, 3), SolutionTriple(1, 1, 1))
         assert rejected.case_label == "n>1 Case 2.2" and not rejected.accepted
+        assert rejected.w is None
 
     @pytest.mark.parametrize("p, n, triple, label", [
         (2, 10**10, (0, 0, 2), "n>1 Case 1"),
@@ -672,7 +688,50 @@ class TestTraceCandidate:
         ):
             trace = trace_candidate(EquationInstance(2, 3), SolutionTriple(x, y, z))
             assert trace.accepted == accepted
-            assert trace.w == z**3
+            assert trace.w == (z**3 if accepted else None)
+
+    def test_ngt1_wide_rejection_forms_no_power(self, monkeypatch):
+        # Inside the bit-length window, a rejection is traced from z's bit
+        # length and split alone: Case 1 for p = 2, and the guided split of
+        # a 2.4k-bit z for p = 3 (Case 2.3 and its mirror reach k2_is_4).
+        def no_power(*args):
+            raise AssertionError("a rejection formed w = z^n")
+
+        monkeypatch.setattr(pxpy.classifier, "_shifted_power", no_power)
+        j, e = 3000, 1500
+        for p, x, y, z, code in (
+            (2, 6 * j - 1, 6 * j - 1, (1 << j) + 1, "equal_wrong_root"),
+            (2, 6 * j, 0, 1 << j, "valuation_gate"),
+            (3, 6 * e, 6 * e + 1, 2 * 3**e, "k2_is_4"),
+            (3, 6 * e + 1, 6 * e, 2 * 3**e, "k2_is_4"),
+            (3, 6 * e + 2, 6 * e + 3, 2 * 3**e, "valuation_gate"),
+        ):
+            triple = SolutionTriple(x, y, z)
+            trace = trace_candidate(EquationInstance(p, 3), triple)
+            assert not trace.accepted and not verify(EquationInstance(p, 3), triple)
+            assert trace.reason_code == "ngt1_square" and trace.w is None
+            assert trace.reason_args[1].reason_code == code
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ngt1_inner_trace_is_the_square_trace_of_w(self, p, n):
+        # The reduction's oracle: the inner trace, built from z without
+        # forming w, has the case, reason and e that the n = 1 trace of
+        # (x, y, w) with w = z^n has.
+        inst, square = EquationInstance(p, n), EquationInstance(p, 1)
+        for x in range(9):
+            for y in range(9):
+                for z in range(1, 301):
+                    trace = trace_candidate(inst, SolutionTriple(x, y, z))
+                    of_w = trace_candidate(square, SolutionTriple(x, y, z**n))
+                    if trace.accepted:
+                        assert (of_w.case_label, of_w.accepted) == ("Case 1", True)
+                        assert trace.w == z**n
+                        continue
+                    _, inner = trace.reason_args
+                    assert (inner.case_label, inner.reason_code, inner.e) == (
+                        of_w.case_label, of_w.reason_code, of_w.e
+                    ), (x, y, z)
 
     @pytest.mark.parametrize("j", [1, 5, 3000])
     def test_case_1_power_of_two_test(self, j):

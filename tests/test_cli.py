@@ -211,6 +211,21 @@ class TestTrace:
         assert record["payload"]["case"] == "n>1 Case 1.2"
         assert record["payload"]["w"] == "4"
 
+    def test_ngt1_rejection_reports_no_w(self, capsys):
+        # A rejection never forms w = z^n; "w" was already nullable in
+        # schema "1", and the reason still names w.
+        code, out, _ = run(capsys, "trace", "--p", "2", "--n", "2",
+                           "-x", "1", "-y", "1", "-z", "2")
+        assert code == 1
+        (record,) = records(out)
+        assert record["schema_version"] == "1"
+        assert record["payload"]["w"] is None and '"w": null' in out
+        assert record["payload"]["reason_code"] == "ngt1_square"
+        assert record["payload"]["reason"] == (
+            "(x, y, w) with w = z^2 must solve the square equation, "
+            "which rejects it at Case 1: x = y = 1 forces w = 2^1; got another w"
+        )
+
 
 class TestSearch:
     def test_box_report(self, capsys):
