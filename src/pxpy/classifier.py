@@ -17,9 +17,9 @@ evaluator of a family) and `enumerate_solutions` turn them into concrete
 triples, `verify` checks a candidate directly against the equation (the
 only place it is evaluated), and `trace_candidate` replays the case
 analysis behind the classification to explain any verdict. Its `CaseTrace`
-is a tuple holding the case, the split z = p^e * k, w = z^n on an n > 1
-acceptance, and a reason code with its arguments; the prose of a rejection
-is rendered from `_REASONS` only when `rejection_reason` is read.
+is a tuple holding the case, the split z = p^e * k, and a reason code with
+its arguments; the prose of a rejection is rendered from `_REASONS` only
+when `rejection_reason` is read. The trace never forms w = z^n.
 
 Everything here is pure and immutable; values are safe to share across
 threads.
@@ -178,16 +178,15 @@ class CaseTrace(NamedTuple):
     k are set on the x != y paths of the n = 1 analysis, where z = p^e * k
     with p not dividing k. The square equation's trace inside an n > 1
     rejection's reason_args sets e = v_p(w) for w = z^n and leaves k None,
-    as k_w = k_z^n is never 2 or 3. w is set only on an n > 1 acceptance.
+    as k_w = k_z^n is never 2 or 3.
 
-    A trace is an immutable, hashable tuple of its six fields, so it also
+    A trace is an immutable, hashable tuple of its five fields, so it also
     equals a plain tuple of those fields.
     """
 
     case_label: str
     e: int | None = None
     k: int | None = None
-    w: int | None = None
     reason_code: str | None = None
     reason_args: tuple = ()
 
@@ -262,18 +261,6 @@ def _widths_disagree(p: int, high: int, z: int, power: int) -> bool:
     return high * (p_bits - 1) >= z_bits * power or (z_bits - 1) * power > high * p_bits + 1
 
 
-def _shifted_power(z: int, k: int) -> int:
-    """z^k for z, k >= 0, with z's factor 2^t raised as a shift.
-
-    (z >> t)^k << t*k, as GMP's mpz_pow_ui does, so a power of 2 costs a
-    shift and 3 * 2^s costs a power of 3.
-    """
-    t = (z & -z).bit_length() - 1
-    if t <= 0:  # z odd, or z = 0 (t = -1)
-        return z**k
-    return (z >> t) ** k << (t * k)
-
-
 def _short_quotient(m: int, p: int, e: int) -> int | None:
     """m / p^e when p^e divides m and the quotient has at most _NARROW_BITS
     bits; None otherwise. m >= 1, p >= 2, e >= 0.
@@ -327,31 +314,31 @@ def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
     finds it with one division whose quotient is short, linear in the size
     of z. When p^d itself is wider than 2048 bits, both sides are formed
     instead: eval_lhs shifts for p = 2 and factors p^lo * (p^d + 1)
-    otherwise, and z^(2n) raises z's factor 2^t as a shift. The answer is
-    exact at every size.
+    otherwise. The answer is exact at every size.
     """
     p, power = instance.p, 2 * instance.n
     x, y, z = triple.x, triple.y, triple.z
     high = x if x > y else y
     p_bits = p.bit_length()
-    if high * p_bits <= _NARROW_BITS and z.bit_length() * power <= _NARROW_BITS:
-        return eval_lhs(p, x, y) == z**power
-    if _widths_disagree(p, high, z, power):
-        return False
-    m = _RESIDUE_MODULUS
-    if (pow(p, x, m) + pow(p, y, m) - pow(z, power, m)) % m:
-        return False
-    lo = x + y - high
-    d = high - lo
-    if d * p_bits > _NARROW_BITS:
-        return eval_lhs(p, x, y) == _shifted_power(z, power)
-    v, c = (lo + 1, 1) if p == 2 and d == 0 else (lo, p**d + 1)
-    e, remainder = divmod(v, power)
-    if remainder:
-        return False
-    k = _short_quotient(z, p, e)
-    # (bits(k) - 1) * 2n >= bits(c) means k^(2n) > c: skip forming it.
-    return k is not None and (k.bit_length() - 1) * power < c.bit_length() and k**power == c
+    if high * p_bits > _NARROW_BITS or z.bit_length() * power > _NARROW_BITS:
+        if _widths_disagree(p, high, z, power):
+            return False
+        m = _RESIDUE_MODULUS
+        if (pow(p, x, m) + pow(p, y, m) - pow(z, power, m)) % m:
+            return False
+        lo = x + y - high
+        d = high - lo
+        if d * p_bits <= _NARROW_BITS:
+            v, c = (lo + 1, 1) if p == 2 and d == 0 else (lo, p**d + 1)
+            e, remainder = divmod(v, power)
+            if remainder:
+                return False
+            k = _short_quotient(z, p, e)
+            # (bits(k) - 1) * 2n >= bits(c) means k^(2n) > c: skip forming it.
+            return (
+                k is not None and (k.bit_length() - 1) * power < c.bit_length() and k**power == c
+            )
+    return eval_lhs(p, x, y) == z**power
 
 
 def enumerate_solutions(
@@ -381,26 +368,25 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
 
     Rejections are verdicts carrying a reason code, never errors. The
     reasons name only p, n and exponents, never z, w or k, so they stay
-    short and printable however large the candidate; those values are in
-    the trace. For n > 1 no rejection forms w = z^n; an acceptance forms it
-    as a shift, w being a power of 2.
+    short and printable however large the candidate. For n > 1 the trace
+    decides from z alone and never forms w = z^n, on an acceptance either.
     """
     p, n = instance.p, instance.n
     x, y, z = triple.x, triple.y, triple.z
     if z == 0:
-        return CaseTrace(_PRECASE_Z_ZERO, None, None, None, "z_zero", (p, 2 * n))
+        return CaseTrace(_PRECASE_Z_ZERO, None, None, "z_zero", (p, 2 * n))
     if n == 1:
         return _trace_square(p, x, y, z, 1)
 
     if z.bit_length() * 2 * n > _NARROW_BITS and _widths_disagree(p, max(x, y), z, 2 * n):
-        return CaseTrace(_ngt1_label(p), None, None, None, "ngt1_widths", (p, 2 * n, n))
+        return CaseTrace(_ngt1_label(p), None, None, "ngt1_widths", (p, 2 * n, n))
     # (x, y, z) solves p^x + p^y = z^(2n) iff (x, y, w) with w = z^n solves
     # the square equation, so reduce to it. Only its Case 1 can accept: Case
     # 1.1 (w = 3*2^s) and its p = 3 analogue (w = 2*3^s) are no n-th powers.
     inner = _trace_square(p, x, y, z, n)
     if inner.accepted:
-        return CaseTrace("n>1 Case 1.2", None, None, _shifted_power(z, n))
-    return CaseTrace(_ngt1_label(p), None, None, None, "ngt1_square", (n, inner))
+        return CaseTrace("n>1 Case 1.2")
+    return CaseTrace(_ngt1_label(p), None, None, "ngt1_square", (n, inner))
 
 
 def _ngt1_label(p: int) -> str:
@@ -446,14 +432,12 @@ def _trace_square(p: int, x: int, y: int, z: int, n: int) -> CaseTrace:
     if x == y:
         # Case 1: the equation reads 2*p^x = w^2.
         if p != 2:
-            return CaseTrace("Case 1", None, None, None, "equal_odd_p", (p, x, root_name))
+            return CaseTrace("Case 1", None, None, "equal_odd_p", (p, x, root_name))
         if x % 2 == 0:
-            return CaseTrace("Case 1", None, None, None, "equal_even_x", (x, root_name, x + 1))
+            return CaseTrace("Case 1", None, None, "equal_even_x", (x, root_name, x + 1))
         # w == 2^((x+1)/2), tested without forming that power for a huge x
         if z & (z - 1) or n * (z.bit_length() - 1) != (x + 1) // 2:
-            return CaseTrace(
-                "Case 1", None, None, None, "equal_wrong_root", (x, root_name, (x + 1) // 2)
-            )
+            return CaseTrace("Case 1", None, None, "equal_wrong_root", (x, root_name, (x + 1) // 2))
         return CaseTrace("Case 1")
 
     # Cases 2 and 3 mirror each other under the x <-> y swap; analyse with
@@ -474,20 +458,18 @@ def _trace_square(p: int, x: int, y: int, z: int, n: int) -> CaseTrace:
         e, k = n * e, None
 
     if sub == "2.1":
-        return CaseTrace(label, e, k, None, "k2_is_3")
+        return CaseTrace(label, e, k, "k2_is_3")
     if sub == "2.4":
-        return CaseTrace(label, e, k, None, "mihailescu_3", (d,))
+        return CaseTrace(label, e, k, "mihailescu_3", (d,))
     if sub == "2.5":
-        return CaseTrace(label, e, k, None, "large_p", (p,))
+        return CaseTrace(label, e, k, "large_p", (p,))
     # Cases 2.2 and 2.3 hold only if the smaller exponent is 2e.
     if lo != 2 * e:
         small_name = "y" if swapped else "x"
-        return CaseTrace(
-            label, e, k, None, "valuation_gate", (small_name, 2 * e, p, root_name, e, lo)
-        )
+        return CaseTrace(label, e, k, "valuation_gate", (small_name, 2 * e, p, root_name, e, lo))
     if sub == "2.2":
         if k != 3 or d != 3:
-            return CaseTrace(label, e, k, None, "mihailescu_2", (d, "=" if k == 3 else "!="))
+            return CaseTrace(label, e, k, "mihailescu_2", (d, "=" if k == 3 else "!="))
     elif k != 2:
-        return CaseTrace(label, e, k, None, "k2_is_4")
+        return CaseTrace(label, e, k, "k2_is_4")
     return CaseTrace(label, e, k)

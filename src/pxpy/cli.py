@@ -181,7 +181,9 @@ def cmd_trace(args: argparse.Namespace, cap: int) -> int:
         "case": trace.case_label,
         "e": None if trace.e is None else str(trace.e),
         "k": None if trace.k is None else str(trace.k),
-        "w": None if trace.w is None else str(trace.w),
+        # w = z^n, which the library never forms. _parse_triple has checked
+        # z^(2n) against the digit cap, so w has about half its digits at most.
+        "w": str(triple.z**instance.n) if trace.accepted and instance.n > 1 else None,
         "verdict": trace.verdict,
         "reason_code": trace.reason_code,
         "reason": trace.rejection_reason,

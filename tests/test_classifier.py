@@ -3,6 +3,7 @@
 import math
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from pxpy.classifier import (
     EquationInstance,
     SolutionFamily,
     SolutionTriple,
-    _shifted_power,
     _short_quotient,
     classify,
     enumerate_solutions,
@@ -178,19 +178,6 @@ class TestInstantiate:
                         continue
                     triple = instantiate(family, s)
                     assert verify(inst, triple), (p, n, s)
-
-
-class TestShiftedPower:
-    def test_matches_power(self):
-        # zero, one, odd, and even with odd part 1, 3 and 5^25
-        for z in (0, 1, 7, 5**30, 2, 12, 1 << 40, 10**25):
-            for k in (0, 1, 2, 5):
-                assert _shifted_power(z, k) == z**k, (z, k)
-
-    def test_wide_three_times_power_of_two(self):
-        z = 3 << 50_000
-        for k in (1, 2, 6):
-            assert _shifted_power(z, k) == z**k
 
 
 def naive_short_quotient(m, p, e):
@@ -611,7 +598,7 @@ class TestTraceCandidate:
         inst = EquationInstance(2, 1)
         accepted = trace_candidate(inst, SolutionTriple(1, 1, 2))
         assert accepted.case_label == "Case 1" and accepted.accepted
-        assert accepted.e is None and accepted.k is None and accepted.w is None
+        assert accepted.e is None and accepted.k is None
         wrong_z = trace_candidate(inst, SolutionTriple(1, 1, 3))
         assert wrong_z.case_label == "Case 1" and not wrong_z.accepted
         even_x = trace_candidate(inst, SolutionTriple(2, 2, 3))
@@ -642,21 +629,16 @@ class TestTraceCandidate:
     def test_ngt1_accept(self):
         trace = trace_candidate(EquationInstance(2, 2), SolutionTriple(3, 3, 2))
         assert trace.case_label == "n>1 Case 1.2"
-        assert trace.w == 4
         assert trace.accepted
         assert trace.e is None and trace.k is None
 
     def test_ngt1_rejections_by_base(self):
-        # A rejection never forms w = z^n, so it reports none.
         rejected = trace_candidate(EquationInstance(2, 2), SolutionTriple(1, 1, 2))
         assert rejected.case_label == "n>1 Case 1" and not rejected.accepted
-        assert rejected.w is None
         rejected = trace_candidate(EquationInstance(3, 2), SolutionTriple(2, 3, 6))
         assert rejected.case_label == "n>1 Case 2.1" and not rejected.accepted
-        assert rejected.w is None
         rejected = trace_candidate(EquationInstance(5, 3), SolutionTriple(1, 1, 1))
         assert rejected.case_label == "n>1 Case 2.2" and not rejected.accepted
-        assert rejected.w is None
 
     @pytest.mark.parametrize("p, n, triple, label", [
         (2, 10**10, (0, 0, 2), "n>1 Case 1"),
@@ -671,14 +653,27 @@ class TestTraceCandidate:
         trace = trace_candidate(inst, candidate)
         assert time.perf_counter() - started < 1.0
         assert trace.case_label == label and not trace.accepted
-        assert trace.w is None and trace.e is None and trace.k is None
+        assert trace.e is None and trace.k is None
         assert "bit length" in trace.rejection_reason
         assert not verify(inst, candidate)
 
-    def test_ngt1_wide_inside_the_window_reports_w(self):
+    def test_ngt1_acceptance_forms_no_w(self):
+        # w = z^n would be 2^(10^8), 12.5 MB; the trace decides from z alone.
+        n = 10**8
+        inst, triple = EquationInstance(2, n), SolutionTriple(2 * n - 1, 2 * n - 1, 2)
+        tracemalloc.start()
+        try:
+            trace = trace_candidate(inst, triple)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.case_label == "n>1 Case 1.2" and trace.accepted and verify(inst, triple)
+        assert peak < 1 << 20
+
+    def test_ngt1_wide_inside_the_window_agrees_with_verify(self):
         # 2^(6j-1) * 2 = (2^j)^6, so z = 2^j + 1 has the right bit length,
         # and so has z = 2^j against 2^(6j) + 2^0.
-        j = 3000
+        inst, j = EquationInstance(2, 3), 3000
         s = 3 * j - 1
         for x, y, z, accepted in (
             (2 * s + 1, 2 * s + 1, 1 << j, True),
@@ -686,18 +681,13 @@ class TestTraceCandidate:
             (6 * j, 0, 1 << j, False),
             (0, 6 * j, 1 << j, False),
         ):
-            trace = trace_candidate(EquationInstance(2, 3), SolutionTriple(x, y, z))
-            assert trace.accepted == accepted
-            assert trace.w == (z**3 if accepted else None)
+            triple = SolutionTriple(x, y, z)
+            assert trace_candidate(inst, triple).accepted == accepted == verify(inst, triple)
 
-    def test_ngt1_wide_rejection_forms_no_power(self, monkeypatch):
+    def test_ngt1_wide_rejection_forms_no_power(self):
         # Inside the bit-length window, a rejection is traced from z's bit
         # length and split alone: Case 1 for p = 2, and the guided split of
         # a 2.4k-bit z for p = 3 (Case 2.3 and its mirror reach k2_is_4).
-        def no_power(*args):
-            raise AssertionError("a rejection formed w = z^n")
-
-        monkeypatch.setattr(pxpy.classifier, "_shifted_power", no_power)
         j, e = 3000, 1500
         for p, x, y, z, code in (
             (2, 6 * j - 1, 6 * j - 1, (1 << j) + 1, "equal_wrong_root"),
@@ -709,7 +699,7 @@ class TestTraceCandidate:
             triple = SolutionTriple(x, y, z)
             trace = trace_candidate(EquationInstance(p, 3), triple)
             assert not trace.accepted and not verify(EquationInstance(p, 3), triple)
-            assert trace.reason_code == "ngt1_square" and trace.w is None
+            assert trace.reason_code == "ngt1_square"
             assert trace.reason_args[1].reason_code == code
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -726,7 +716,6 @@ class TestTraceCandidate:
                     of_w = trace_candidate(square, SolutionTriple(x, y, z**n))
                     if trace.accepted:
                         assert (of_w.case_label, of_w.accepted) == ("Case 1", True)
-                        assert trace.w == z**n
                         continue
                     _, inner = trace.reason_args
                     assert (inner.case_label, inner.reason_code, inner.e) == (
@@ -875,7 +864,7 @@ class TestReasonCodes:
     def test_nested_reason_keeps_the_square_trace(self):
         trace = trace_candidate(EquationInstance(3, 2), SolutionTriple(2, 3, 6))
         n, inner = trace.reason_args
-        assert n == 2 and inner.case_label == "Case 2.3" and inner.w is None
+        assert n == 2 and inner.case_label == "Case 2.3"
         assert trace.rejection_reason.endswith(f"{inner.case_label}: {inner.rejection_reason}")
 
     def test_accepted_trace_has_no_code(self):
@@ -901,8 +890,8 @@ class TestCaseTraceRecord:
 
     def test_equals_the_plain_tuple_of_its_fields(self):
         trace = trace_candidate(EquationInstance(7, 1), SolutionTriple(0, 2, 5))
-        assert trace == ("Case 2.5", 0, 5, None, "large_p", (7,))
-        assert trace == CaseTrace("Case 2.5", 0, 5, None, "large_p", (7,))
+        assert trace == ("Case 2.5", 0, 5, "large_p", (7,))
+        assert trace == CaseTrace("Case 2.5", 0, 5, "large_p", (7,))
 
 
 class TestEnumerate:

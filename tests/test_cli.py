@@ -173,14 +173,16 @@ class TestTrace:
         assert record["payload"]["case"] == "Case 1"
         assert record["payload"]["verdict"] == "accepted"
 
-    @pytest.mark.parametrize("p, x, y, z", [
-        (2, 320003, 320000, 3 * 2**160000),
-        (3, 200000, 200001, 2 * 3**100000),
-    ], ids=["p2", "p3"])
-    def test_family_member_at_the_digit_cap_is_fast(self, capsys, p, x, y, z):
+    @pytest.mark.parametrize("p, n, x, y, z", [
+        (2, 1, 320003, 320000, 3 * 2**160000),
+        (3, 1, 200000, 200001, 2 * 3**100000),
+        (2, 3, 329999, 329999, 2**55000),
+    ], ids=["p2", "p3", "p2-n3"])
+    def test_family_member_at_the_digit_cap_is_fast(self, capsys, p, n, x, y, z):
         # Every input under the default digit cap returns in bounded time:
-        # z has about 48k digits, and v_p(z) is e = 160000 or 100000.
-        argv = ["trace", "--p", str(p), "--n", "1",
+        # z has about 48k digits (17k for n = 3, where z^6 has 99k and the
+        # printed w = z^3 has 50k), and v_p(z) is e = 160000, 100000 or 55000.
+        argv = ["trace", "--p", str(p), "--n", str(n),
                 "-x", str(x), "-y", str(y), "-z", decimal(z)]
         started = time.perf_counter()
         code, out, _ = run(capsys, *argv)
@@ -188,6 +190,7 @@ class TestTrace:
         assert code == 0
         (record,) = records(out)
         assert record["payload"]["verdict"] == "accepted"
+        assert record["payload"]["w"] == (decimal(z**n) if n > 1 else None)
         assert elapsed < 1.5
 
     def test_ngt1_outside_the_bit_length_window_reports_no_w(self, capsys):
