@@ -140,8 +140,8 @@ def _double_s(offset: int) -> str:
 
 # Every rejection's prose, by reason code. A trace keeps the code and the
 # arguments; rejection_reason formats them only when read. Templates name
-# only p, n and exponents, never z, w or k, so a rendered reason stays short
-# however large the candidate.
+# only p, n and exponents, never z, w or k, so a rendered reason is as long
+# as the exponents it names.
 _REASONS = {
     "z_zero": "{0}^x + {0}^y >= 2 while 0^{1} = 0",
     "ngt1_widths": (
@@ -367,9 +367,9 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
     """Replay the case analysis on a candidate; the verdict matches verify().
 
     Rejections are verdicts carrying a reason code, never errors. The
-    reasons name only p, n and exponents, never z, w or k, so they stay
-    short and printable however large the candidate. For n > 1 the trace
-    decides from z alone and never forms w = z^n, on an acceptance either.
+    reasons name only p, n and exponents, never z, w or k, so a reason's
+    length follows the exponents it names. For n > 1 the trace decides
+    from z alone and never forms w = z^n, on an acceptance either.
     """
     p, n = instance.p, instance.n
     x, y, z = triple.x, triple.y, triple.z

@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 from .arithmetic import integer_root
 from .classifier import EquationInstance, SolutionTriple, enumerate_solutions, verify
@@ -33,14 +33,10 @@ __all__ = [
     "cross_check",
 ]
 
-# Sieve moduli: Cohen's 64, 63, 65 and 11, then the primes 17..113. A
-# modulus sharing a factor with p filters nothing, so the scan uses the
-# first _SIEVE_DEPTH of them that are coprime to p.
-_SIEVE_MODULI = (
-    64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47,
-    53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-)
-_SIEVE_DEPTH = 16
+# Sieve moduli: Cohen's 64, 63, 65 and 11, then the primes 17..67. A scan
+# uses each one p does not divide, as a shared factor filters nothing. A
+# prime divides at most one, so ending at 67 leaves every scan 16 or more.
+_SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 # A row whose sums have at most this many bits stops sieving at its last
 # survivor: a root that narrow costs about as much as a sieve step, and a
 # row holding a solution would otherwise run every modulus for it.
@@ -124,8 +120,8 @@ def _exact_root(value: int, n: int) -> int | None:
 
 @lru_cache(maxsize=256)
 def _coprime_moduli(p: int) -> tuple[int, ...]:
-    """The first _SIEVE_DEPTH sieve moduli coprime to p."""
-    return tuple(m for m in _SIEVE_MODULI if gcd(m, p) == 1)[:_SIEVE_DEPTH]
+    """The sieve moduli that the prime p does not divide."""
+    return tuple(m for m in _SIEVE_MODULI if m % p)
 
 
 def _row_sieve(modulus: int, root_degree: int, p: int, width: int):

@@ -522,13 +522,13 @@ def test_closed_pipe_exits_141():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "pxpy.cli", "enumerate", "--p", "2", "--n", "1",
          "--max-exponent", "3000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline().startswith(b"{")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert err == b""

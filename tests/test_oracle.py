@@ -140,10 +140,14 @@ def naive_scan(p, n, x_max, y_max):
 
 
 class TestScanKernel:
-    def test_moduli_reach_113(self):
-        # The residue-table test below runs over every modulus, these included.
-        new_primes = {53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113}
-        assert new_primes <= set(pxpy.oracle._SIEVE_MODULI)
+    def test_every_table_modulus_is_used(self):
+        # A prime divides at most one table entry, so no entry is dead weight:
+        # a scan keeps 16 moduli for p <= 67 and all 17 above.
+        table = pxpy.oracle._SIEVE_MODULI
+        for p in (2, 3, 5, 7, 11, 13, 53, 67, 71, 1_000_003):
+            moduli = pxpy.oracle._coprime_moduli(p)
+            assert moduli == tuple(m for m in table if gcd(m, p) == 1), p
+            assert len(moduli) == (16 if p <= 67 else 17), p
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_residue_tables_are_exact(self, k):
@@ -155,7 +159,7 @@ class TestScanKernel:
     @pytest.mark.parametrize("p", [2, 3, 5, 53, 59, 97, 101, 113, 1_000_003])
     def test_sieve_patterns_are_exact(self, p):
         moduli = pxpy.oracle._coprime_moduli(p)
-        assert len(moduli) == pxpy.oracle._SIEVE_DEPTH
+        assert len(moduli) >= 16
         assert all(gcd(m, p) == 1 for m in moduli)
         for modulus in moduli:
             for k in (2, 4, 6):
@@ -182,7 +186,7 @@ class TestScanKernel:
             (97, 1, SearchBox(40, 40), 1),
             # p = 2, n = 1: every row holds a hit, so rows too wide to stop
             # at their last survivor run the full depth.
-            (2, 1, SearchBox(3, 600), pxpy.oracle._SIEVE_DEPTH),
+            (2, 1, SearchBox(3, 600), len(pxpy.oracle._coprime_moduli(2))),
         ],
     )
     def test_sieve_depth_is_built_on_demand(self, monkeypatch, p, n, box, built):
@@ -211,7 +215,7 @@ class TestScanKernel:
             monkeypatch.setattr(pxpy.oracle, "_NARROW_ROW_BITS", narrow_bits)
             depths.append(0)
             results.append(pxpy.oracle._scan_rows(2, 2, 40, 40))
-        assert depths[0] < depths[1] == pxpy.oracle._SIEVE_DEPTH
+        assert depths[0] < depths[1] == len(pxpy.oracle._coprime_moduli(2))
         assert results[0] == results[1]
 
     def test_wide_strip_holds_no_powers_table(self):
