@@ -19,7 +19,8 @@ only place it is evaluated), and `trace_candidate` replays the case
 analysis behind the classification to explain any verdict. Its `CaseTrace`
 is a tuple holding the case, the split z = p^e * k, and a reason code with
 its arguments; the prose of a rejection is rendered from `_REASONS` only
-when `rejection_reason` is read. The trace never forms w = z^n.
+when `rejection_reason` is read. The trace never forms w = z^n, and verify
+settles a wide candidate with one integer root of p^d + 1 and one product.
 
 Everything here is pure and immutable; values are safe to share across
 threads.
@@ -31,7 +32,7 @@ import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arithmetic import eval_lhs, is_prime, p_adic_valuation
+from .arithmetic import eval_lhs, integer_root, is_prime, p_adic_valuation
 from .errors import InternalInconsistencyError
 
 __all__ = [
@@ -51,13 +52,10 @@ __all__ = [
 _is_prime_memo = functools.lru_cache(maxsize=1024, typed=True)(is_prime)
 
 # Width in bits up to which an operand counts as short. It bounds verify's
-# direct comparison (at 2048 bits within 1.5x of its residue test), the
-# trace's n > 1 width test and guided split of z past it, and the widest
-# quotient _short_quotient returns.
+# direct comparison (at 2048 bits within 1.5x of its residue test) and the
+# width of the p^d + 1 it roots, and the trace's n > 1 width test and guided
+# split of z past it.
 _NARROW_BITS = 2048
-# _short_quotient tests m against a power of p below 2^_WORD_BITS before it
-# forms any wide p^e; 30 bits is one CPython digit, the fastest divisor.
-_WORD_BITS = 30
 # The prime (2^37 - 1)/223, modulo which 2 has order 37: verify compares
 # wider candidates modulo it first. Below 2^30 it is one CPython digit, so a
 # wide z is reduced in one linear pass, not by multi-digit long division.
@@ -174,7 +172,8 @@ class CaseTrace(NamedTuple):
 
     A trace is a rejection iff it carries a reason_code, a key of _REASONS;
     accepted and verdict derive from that one field, and rejection_reason
-    renders the code's template with reason_args each time it is read. e and
+    renders the code's template with reason_args each time it is read; past
+    the int-to-str digit limit, ints over 2048 bits render in exact hex. e and
     k are set on the x != y paths of the n = 1 analysis, where z = p^e * k
     with p not dividing k. The square equation's trace inside an n > 1
     rejection's reason_args sets e = v_p(w) for w = z^n and leaves k None,
@@ -194,7 +193,12 @@ class CaseTrace(NamedTuple):
     def rejection_reason(self) -> str | None:
         if self.reason_code is None:
             return None
-        return _REASONS[self.reason_code].format(*self.reason_args)
+        try:
+            return _REASONS[self.reason_code].format(*self.reason_args)
+        except ValueError:  # past the int-to-str limit, which is >= 640 digits
+            args = [hex(a) if isinstance(a, int) and a.bit_length() > _NARROW_BITS else a
+                    for a in self.reason_args]
+            return _REASONS[self.reason_code].format(*args)
 
     @property
     def accepted(self) -> bool:
@@ -261,38 +265,6 @@ def _widths_disagree(p: int, high: int, z: int, power: int) -> bool:
     return high * (p_bits - 1) >= z_bits * power or (z_bits - 1) * power > high * p_bits + 1
 
 
-def _short_quotient(m: int, p: int, e: int) -> int | None:
-    """m / p^e when p^e divides m and the quotient has at most _NARROW_BITS
-    bits; None otherwise. m >= 1, p >= 2, e >= 0.
-
-    For p = 2 this is a trailing-zero count and a shift. Any other p^e is
-    formed only once two cheap tests leave a short quotient possible: a
-    bit-length estimate, which bounds log2(p) between (b - 1)/t and b/t for
-    the b-bit power p^t with t = max(1, 30 // bits(p)), and divisibility of
-    m by p^min(e, t).
-    The one division then has a short quotient, so it costs time linear in
-    m even with schoolbook division. A caller that predicts e from the
-    equation's exponents thus splits a wide m without a wide valuation.
-    """
-    m_bits = m.bit_length()
-    if p == 2:
-        if m_bits - e > _NARROW_BITS or (m & -m).bit_length() <= e:
-            return None
-        return m >> e
-    t = max(1, _WORD_BITS // p.bit_length())
-    word = p**t
-    b = word.bit_length()
-    # Certainly p^e > m, or certainly m / p^e is wider than _NARROW_BITS.
-    if e * (b - 1) >= m_bits * t or (m_bits - 1 - _NARROW_BITS) * t >= e * b:
-        return None
-    if m % (word if e >= t else p**e):
-        return None
-    quotient, remainder = divmod(m, p**e)
-    if remainder or quotient.bit_length() > _NARROW_BITS:
-        return None
-    return quotient
-
-
 def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
     """True iff p^x + p^y = z^(2n) holds exactly.
 
@@ -309,12 +281,12 @@ def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
     candidate that passes both is settled by its p-adic split. With
     lo = min(x, y) and d = |x - y|, the left side is p^L * c with p not
     dividing c: (L, c) = (lo + 1, 1) for p = 2 and d = 0, else
-    (lo, p^d + 1). So the equation holds iff 2n divides L and z = p^(L/2n)
-    * k with k^(2n) = c; k is short whenever c is, and _short_quotient
-    finds it with one division whose quotient is short, linear in the size
-    of z. When p^d itself is wider than 2048 bits, both sides are formed
-    instead: eval_lhs shifts for p = 2 and factors p^lo * (p^d + 1)
-    otherwise. The answer is exact at every size.
+    (lo, p^d + 1). So the equation holds iff 2n divides L, c = k^(2n) and
+    z = p^(L/2n) * k: one root of c, at most 2048 bits, and one product (a
+    shift for p = 2), no wider than z as the window has passed. When p^d
+    is wider than 2048 bits, both sides are formed instead: eval_lhs shifts
+    for p = 2 and factors p^lo * (p^d + 1) otherwise. The answer is exact
+    at every size.
     """
     p, power = instance.p, 2 * instance.n
     x, y, z = triple.x, triple.y, triple.z
@@ -333,11 +305,8 @@ def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
             e, remainder = divmod(v, power)
             if remainder:
                 return False
-            k = _short_quotient(z, p, e)
-            # (bits(k) - 1) * 2n >= bits(c) means k^(2n) > c: skip forming it.
-            return (
-                k is not None and (k.bit_length() - 1) * power < c.bit_length() and k**power == c
-            )
+            k = integer_root(c, power)
+            return k.exact and z == (k.root << e if p == 2 else k.root * p**e)
     return eval_lhs(p, x, y) == z**power
 
 
@@ -405,14 +374,15 @@ _SUBCASE_LABELS = {
 def _split(z: int, p: int, guess: int) -> tuple[int, int]:
     """(e, k) with z = p^e * k, p not dividing k and z >= 1, by one valuation.
 
-    For odd p and z wider than 2048 bits, z is first divided by p^guess, the
-    power the caller predicts: a short quotient q (see _short_quotient)
-    gives e = guess + v_p(q) and q's cofactor with no valuation of z itself,
-    which is near-quadratic for odd p under CPython's division.
+    For odd p and a z wider than 2048 bits that p divides, z is first divided
+    by p^guess, the power the caller predicts, if not certainly wider than z:
+    an exact quotient q gives e = guess + v_p(q) and q's cofactor with no
+    valuation of z, which is near-quadratic for odd p under CPython's division.
     """
-    if p != 2 and z.bit_length() > _NARROW_BITS:
-        quotient = _short_quotient(z, p, guess)
-        if quotient is not None:
+    z_bits = z.bit_length()
+    if p != 2 and z_bits > _NARROW_BITS and not z % p and guess * (p.bit_length() - 1) < z_bits:
+        quotient, remainder = divmod(z, p**guess)
+        if not remainder:
             e, k = p_adic_valuation(quotient, p)
             return e + guess, k
     return p_adic_valuation(z, p)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pxpy.arithmetic
 import pxpy.classifier
-from pxpy.arithmetic import eval_lhs
+from pxpy.arithmetic import eval_lhs, integer_root
 from pxpy.classifier import (
     _NARROW_BITS,
     _REASONS,
@@ -19,7 +19,6 @@ from pxpy.classifier import (
     EquationInstance,
     SolutionFamily,
     SolutionTriple,
-    _short_quotient,
     classify,
     enumerate_solutions,
     instantiate,
@@ -180,67 +179,6 @@ class TestInstantiate:
                     assert verify(inst, triple), (p, n, s)
 
 
-def naive_short_quotient(m, p, e):
-    """m / p^e if exact and at most _NARROW_BITS wide, else None, by one division."""
-    quotient, remainder = divmod(m, p**e)
-    return None if remainder or quotient.bit_length() > _NARROW_BITS else quotient
-
-
-# Bases below, at and above the one-digit word, and composites.
-QUOTIENT_BASES = (2, 3, 5, 97, 1_000_003, 2**31 - 1, 2**61 - 1, 4, 6, 10)
-
-
-class TestShortQuotient:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        p=st.sampled_from(QUOTIENT_BASES),
-        e=st.integers(0, 1500),
-        delta=st.integers(-3, 3),
-        c_bits=st.one_of(st.integers(1, 40), st.integers(_NARROW_BITS - 40, _NARROW_BITS + 40)),
-        c_seed=st.integers(0, 2**64),
-        divisible=st.booleans(),
-    )
-    def test_matches_naive_division(self, p, e, delta, c_bits, c_seed, divisible):
-        c = (1 << (c_bits - 1)) | (c_seed % (1 << (c_bits - 1)) if c_bits > 1 else 0)
-        if divisible:
-            c *= p
-        m = p**e * c
-        guess = max(0, e + delta)
-        assert _short_quotient(m, p, guess) == naive_short_quotient(m, p, guess)
-
-    @pytest.mark.parametrize("p", QUOTIENT_BASES)
-    def test_quotient_width_threshold(self, p):
-        # The widest quotient returned is exactly _NARROW_BITS bits.
-        for e in (0, 1, 40, 700):
-            for c in ((1 << _NARROW_BITS) - 1, 1 << _NARROW_BITS, 1 << (_NARROW_BITS - 1)):
-                m = p**e * c
-                for guess in (e - 1, e, e + 1):
-                    if guess >= 0:
-                        expected = naive_short_quotient(m, p, guess)
-                        assert _short_quotient(m, p, guess) == expected, (e, c, guess)
-
-    def test_zero_exponent_and_powers(self):
-        for p in QUOTIENT_BASES:
-            assert _short_quotient(1, p, 0) == 1
-            assert _short_quotient(1, p, 1) is None
-            assert _short_quotient(p**500, p, 500) == 1
-            assert _short_quotient(p**500, p, 501) is None
-
-    @pytest.mark.parametrize("p, e, cofactor", [
-        (2, 300_000, 3),
-        (3, 100_000, 2),
-        (97, 20_000, 5),
-    ])
-    def test_large_exact(self, p, e, cofactor):
-        m = cofactor * p**e
-        assert _short_quotient(m, p, e) == cofactor
-        assert _short_quotient(m, p, e - 1) == cofactor * p
-        assert _short_quotient(m, p, e + 1) is None
-        assert _short_quotient(m, p, e // 2) is None  # divides, but wide
-        assert _short_quotient(m + p**e, p, e) == cofactor + 1
-        assert _short_quotient(m + 1, p, e) is None
-
-
 class TestVerify:
     def test_examples(self):
         assert verify(EquationInstance(2, 1), SolutionTriple(3, 0, 3))
@@ -333,9 +271,9 @@ class TestVerifyAgainstNaive:
     through a bit-length window and a residue test mod (2^37 - 1)/223 first.
     e up to 12 keeps both sides of every shape narrow, and e from 520 makes
     p^max(x, y) wider than 2048 bits for every p and n here. A wide
-    candidate that passes both is settled by the p-adic split through
-    _short_quotient, and trace_candidate tries the exponent min(x, y) // 2
-    before a valuation of z; the tests from
+    candidate that passes both is settled by the p-adic split, one
+    integer_root and one product, and trace_candidate tries the exponent
+    min(x, y) // 2 before a valuation of z; the tests from
     test_against_the_equation_and_a_naive_valuation on cover that step.
     """
 
@@ -379,24 +317,27 @@ class TestVerifyAgainstNaive:
         ]
         assert sorted(set(members)) == [(2, 1), (2, 2), (3, 1)]
 
-    def test_residue_collision_is_rejected_exactly(self, monkeypatch):
+    @pytest.mark.parametrize("p, shape", [(2, (3, 0, 3)), (3, (1, 0, 2))])
+    def test_residue_collision_is_rejected_exactly(self, monkeypatch, p, shape):
         # z + _RESIDUE_MODULUS has the same residue, so only the exact step, the
-        # p-adic split through _short_quotient, can reject it.
-        inst = EquationInstance(2, 1)
-        x, y, z = _shaped_candidate(2, 1, 3000, (3, 0, 3), None)
+        # p-adic split's root of p^d + 1 and its product, can reject it: a
+        # shift for p = 2, k * p^e for odd p.
+        inst = EquationInstance(p, 1)
+        x, y, z = _shaped_candidate(p, 1, 3000, shape, None)
         exact_steps = []
 
-        def counting_short_quotient(*args):
+        def counting_integer_root(*args):
             exact_steps.append(args)
-            return _short_quotient(*args)
+            return integer_root(*args)
 
-        monkeypatch.setattr(pxpy.classifier, "_short_quotient", counting_short_quotient)
+        monkeypatch.setattr(pxpy.classifier, "integer_root", counting_integer_root)
         assert verify(inst, SolutionTriple(x, y, z))
         collided = z + _RESIDUE_MODULUS
         assert pow(collided, 2, _RESIDUE_MODULUS) == pow(z, 2, _RESIDUE_MODULUS)
         assert collided.bit_length() == z.bit_length()
+        assert not pxpy.classifier._widths_disagree(p, max(x, y), collided, 2)
         assert not verify(inst, SolutionTriple(x, y, collided))
-        assert not naive_verify(2, 1, x, y, collided)
+        assert not naive_verify(p, 1, x, y, collided)
         assert len(exact_steps) == 2
 
     @pytest.mark.parametrize(
@@ -425,11 +366,11 @@ class TestVerifyAgainstNaive:
             lhs_calls.append(args)
             return eval_lhs(*args)
 
-        def no_short_quotient(*args):
-            raise AssertionError("the candidate reached the p-adic split's quotient")
+        def no_root(*args):
+            raise AssertionError("the candidate reached the p-adic split's root")
 
         monkeypatch.setattr(pxpy.classifier, "eval_lhs", counting_eval_lhs)
-        monkeypatch.setattr(pxpy.classifier, "_short_quotient", no_short_quotient)
+        monkeypatch.setattr(pxpy.classifier, "integer_root", no_root)
         verdict = verify(inst, SolutionTriple(x, y, z))
         assert verdict is False
         assert lhs_calls == ([(2, x, y)] if x != y else [])
@@ -442,7 +383,7 @@ class TestVerifyAgainstNaive:
         def no_exact_step(*args):
             raise AssertionError("a near miss reached the exact comparison")
 
-        monkeypatch.setattr(pxpy.classifier, "_short_quotient", no_exact_step)
+        monkeypatch.setattr(pxpy.classifier, "integer_root", no_exact_step)
         monkeypatch.setattr(pxpy.classifier, "eval_lhs", no_exact_step)
         for p, shape in ((2, (3, 0, 3)), (3, (1, 0, 2))):
             for how in _NEAR_MISSES[1:]:
@@ -467,21 +408,32 @@ class TestVerifyAgainstNaive:
         # wide members are among the candidates wherever the instance has any
         assert (members > 0) == bool(classify(inst))
 
-    def test_guided_split_equals_the_generic_valuation(self, monkeypatch):
-        # The same (e, k) whether or not the predicted exponent is tried.
+    def test_guided_split_equals_the_generic_valuation(self):
+        # The same (e, k) whether the predicted exponent is below, at or
+        # above v_p(z), and whether or not p^guess divides z.
         cases = [
             (3, 1, z, lo)
             for z in (2 * 3**3000, 4 * 3**3000, 9 * 3**3000, 3**3001 + 3**1500)
             for lo in (0, 2, 1998, 3000, 5999, 6000, 6001, 6002)
         ]
         cases += [(97, 1, 5 * 97**400, lo) for lo in (798, 799, 800, 801)]
-        guided = [trace_candidate(EquationInstance(p, n), SolutionTriple(lo, lo + 1, z))
-                  for p, n, z, lo in cases]
-        monkeypatch.setattr(pxpy.classifier, "_short_quotient", lambda *args: None)
-        generic = [trace_candidate(EquationInstance(p, n), SolutionTriple(lo, lo + 1, z))
-                   for p, n, z, lo in cases]
-        assert [(t.e, t.k) for t in guided] == [(t.e, t.k) for t in generic]
-        assert guided == generic
+        for p, n, z, lo in cases:
+            t = trace_candidate(EquationInstance(p, n), SolutionTriple(lo, lo + 1, z))
+            assert (t.e, t.k) == naive_valuation(z, p), (z % 1000, lo)
+
+    def test_guided_split_forms_no_power_wider_than_z(self):
+        # The predicted exponent 10^6 is far above v_3(z) = 2000: p^guess
+        # would be 1.58M bits, against z's 3170, and is never formed.
+        inst = EquationInstance(3, 1)
+        triple = SolutionTriple(2 * 10**6, 2 * 10**6 + 1, 3**2000)
+        tracemalloc.start()
+        try:
+            trace = trace_candidate(inst, triple)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (trace.case_label, trace.e, trace.k) == ("Case 2.3", 2000, 1)
+        assert peak < 100_000
 
     def test_member_trace_takes_no_wide_valuation(self, monkeypatch):
         # The valuation of 2 * 3^100000 (47.7k digits) is settled by one
@@ -866,6 +818,34 @@ class TestReasonCodes:
         n, inner = trace.reason_args
         assert n == 2 and inner.case_label == "Case 2.3"
         assert trace.rejection_reason.endswith(f"{inner.case_label}: {inner.rejection_reason}")
+
+    def test_exponents_past_the_digit_limit_render_in_hex(self):
+        # At the interpreter's default int-to-str limit an exponent of 5001
+        # digits cannot be written in decimal; the reason names it in hex,
+        # which is exact. With the limit lifted, as the CLI runs, it stays
+        # decimal. The nested square trace renders its own arguments.
+        huge = 10**5000
+        cases = [
+            (EquationInstance(3, 1), SolutionTriple(0, huge, 1), "mihailescu_3"),
+            (EquationInstance(3, 2), SolutionTriple(0, huge, 1), "ngt1_square"),
+            (EquationInstance(2, huge), SolutionTriple(0, 0, 0), "z_zero"),
+        ]
+        traces = [trace_candidate(inst, triple) for inst, triple, _ in cases]
+        assert [t.reason_code for t in traces] == [code for _, _, code in cases]
+        template = "k^2 - 3^d = 1 with d = %s > 1 has no solution by Mihailescu's theorem"
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            limited = [t.rejection_reason for t in traces]
+            sys.set_int_max_str_digits(0)
+            lifted = [t.rejection_reason for t in traces]
+            decimal = (str(huge), str(2 * huge))
+        finally:
+            sys.set_int_max_str_digits(previous)
+        for reasons, (d, twice_d) in ((limited, (hex(huge), hex(2 * huge))), (lifted, decimal)):
+            assert reasons[0] == template % d
+            assert reasons[1].endswith(f"at Case 2.4: {reasons[0]}")
+            assert reasons[2] == f"2^x + 2^y >= 2 while 0^{twice_d} = 0"
 
     def test_accepted_trace_has_no_code(self):
         trace = trace_candidate(EquationInstance(2, 1), SolutionTriple(0, 3, 3))

@@ -54,3 +54,31 @@ def test_no_module_imports_a_siblings_private_name():
         if alias.name.startswith("_")
     ]
     assert leaks == []
+
+
+def test_no_private_name_is_left_unused():
+    # A module-level _name that nothing in the package reads is an orphan
+    # its last user left behind.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(pxpy.__path__[0]).glob("*.py"))
+    }
+    read = {
+        node.id
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [f"{name}:{target}" for target in targets
+                        if target.startswith("_") and not target.startswith("__")]
+    assert [entry for entry in defined if entry.split(":")[1] not in read] == []
