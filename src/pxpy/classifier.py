@@ -380,11 +380,15 @@ def _split(z: int, p: int, guess: int) -> tuple[int, int]:
     valuation of z, which is near-quadratic for odd p under CPython's division.
     """
     z_bits = z.bit_length()
-    if p != 2 and z_bits > _NARROW_BITS and not z % p and guess * (p.bit_length() - 1) < z_bits:
-        quotient, remainder = divmod(z, p**guess)
-        if not remainder:
-            e, k = p_adic_valuation(quotient, p)
-            return e + guess, k
+    if p != 2 and z_bits > _NARROW_BITS and not z % p:
+        # p^guess > z, and dividing by it is wasted, once guess*(b - 1) >=
+        # bits(z)*t for the b-bit power p^t < 2^30, as log2(p) >= (b - 1)/t.
+        t = max(1, 30 // p.bit_length())
+        if guess * ((p**t).bit_length() - 1) < z_bits * t:
+            quotient, remainder = divmod(z, p**guess)
+            if not remainder:
+                e, k = p_adic_valuation(quotient, p)
+                return e + guess, k
     return p_adic_valuation(z, p)
 
 

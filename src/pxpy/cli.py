@@ -6,16 +6,19 @@ arbitrary precision survives serialization. The --digit-cap bounds every
 integer a command reads or writes, so the interpreter's int-to-str limit is
 lifted only while a command runs and then restored.
 
-Each command parses and checks all of its input before it computes
-anything. Exit codes: 0 success / certified / consistent; 1 well-formed
-negative result; 2 invalid input or digit cap exceeded, always refused before
-any computation; 3 internal error (any other failure is a library bug); 141
-the reader closed stdout (128 + SIGPIPE, as a shell reports it).
+main builds its argparse parser once per process and reuses it; each
+command parses and checks all of its input before it computes anything, and
+nothing a command computes is kept for the next. Exit codes: 0 success /
+certified / consistent; 1 well-formed negative result; 2 invalid input or
+digit cap exceeded, always refused before any computation; 3 internal error
+(any other failure is a library bug); 141 the reader closed stdout (128 +
+SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -278,7 +281,9 @@ def _add_triple(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-z", required=True, metavar="Z", help="base z")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="pxpy",
         description="Exact solver and verifier for p^x + p^y = z^(2n) "

@@ -435,6 +435,43 @@ class TestVerifyAgainstNaive:
         assert (trace.case_label, trace.e, trace.k) == ("Case 2.3", 2000, 1)
         assert peak < 100_000
 
+    @staticmethod
+    def _record_divisions(monkeypatch):
+        divisor_bits = []
+
+        def recording_divmod(a, b):
+            divisor_bits.append(b.bit_length())
+            return divmod(a, b)
+
+        monkeypatch.setattr(pxpy.classifier, "divmod", recording_divmod, raising=False)
+        return divisor_bits
+
+    @pytest.mark.parametrize("p, v", [(3, 3000), (5, 2000), (97, 400), (1_000_003, 300)])
+    def test_guided_split_on_both_sides_of_its_width_bound(self, monkeypatch, p, v):
+        # _split divides z by p^guess only while guess*(b - 1) < bits(z)*t for
+        # the b-bit power p^t < 2^30. As b >= 16 and b*t >= t*log2(p), that
+        # power has at most 16/15 of z's bits, plus one; past the bound the
+        # valuation is taken at once. It is the generic one on both sides.
+        divisor_bits = self._record_divisions(monkeypatch)
+        t = max(1, 30 // p.bit_length())
+        for z in (p**v, 2 * p**v):
+            bound = -(-z.bit_length() * t // ((p**t).bit_length() - 1))
+            for guess in (v - 1, v, v + 1, bound - 1, bound, bound + 1, 3 * v // 2):
+                divisor_bits.clear()
+                split = pxpy.classifier._split(z, p, guess)
+                assert split == pxpy.arithmetic.p_adic_valuation(z, p), (z % 1000, guess)
+                assert bool(divisor_bits) == (guess < bound), guess
+                assert all(15 * (bits - 1) <= 16 * z.bit_length() for bits in divisor_bits)
+
+    def test_guided_split_skips_a_power_half_again_as_wide_as_z(self, monkeypatch):
+        # The trace predicts v_3(z) = 150000 for z = 3^100000: 3^150000 would
+        # be about 238k bits against z's 158k, and no division is made.
+        divisor_bits = self._record_divisions(monkeypatch)
+        s = 3 * 10**5
+        trace = trace_candidate(EquationInstance(3, 1), SolutionTriple(s, s + 1, 3**100_000))
+        assert (trace.case_label, trace.e, trace.k) == ("Case 2.3", 100_000, 1)
+        assert divisor_bits == []
+
     def test_member_trace_takes_no_wide_valuation(self, monkeypatch):
         # The valuation of 2 * 3^100000 (47.7k digits) is settled by one
         # division by 3^100000: _remove never sees a wide value.

@@ -516,6 +516,60 @@ class TestProtocol:
         capsys.readouterr()
 
 
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), an argparse exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def fresh_outcome(capsys, monkeypatch, argv):
+    """outcome() with main reading argv through a parser built for this call."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        return outcome(capsys, argv)
+
+
+_TRIPLE = ("--p", "3", "--n", "1", "-x", "3", "-y", "2", "-z", "6")
+_PAST_THE_CAP = ("--p", "2", "--n", "1", "-x", "400000", "-y", "0", "-z", "1")
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("sequence", [
+        [("crosscheck", "--p", "2,5", "--n", "2", "--x-max", "9", "--y-max", "4"),
+         ("crosscheck",)],
+        [("verify", *_PAST_THE_CAP, "--digit-cap", "0"), ("verify", *_PAST_THE_CAP)],
+        [("frobnicate",), ("classify", "--p", "2", "--n", "1")],
+        [("trace", *_TRIPLE), ("verify", *_TRIPLE)],
+    ], ids=["crosscheck-defaults", "digit-cap", "argparse-error", "trace-verify"])
+    def test_commands_leave_no_state_behind(self, capsys, monkeypatch, sequence):
+        # Each command on the reused parser answers as on a fresh one: no
+        # option value, default or error carries over to the next command.
+        reused = [outcome(capsys, argv) for argv in sequence]
+        assert reused == [fresh_outcome(capsys, monkeypatch, argv) for argv in sequence]
+        assert len(set(reused)) == len(reused)
+
+    @pytest.mark.parametrize("command", [
+        None, "classify", "enumerate", "verify", "trace", "search", "crosscheck", "summary",
+    ])
+    def test_help_follows_the_terminal_width_of_each_call(self, capsys, monkeypatch, command):
+        argv = ("--help",) if command is None else (command, "--help")
+        helps = []
+        for columns in ("60", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            first, second = outcome(capsys, argv), outcome(capsys, argv)
+            assert first == second == fresh_outcome(capsys, monkeypatch, argv)
+            assert first[0] == 0 and first[2] == ""
+            helps.append(first[1])
+        assert helps[0] != helps[1]
+
+
 def test_closed_pipe_exits_141():
     # The reader leaves after one line, as `pxpy enumerate ... | head -1`
     # does: no traceback, and the exit status a shell gives for SIGPIPE.
