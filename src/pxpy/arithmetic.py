@@ -8,6 +8,7 @@ pure function of its arguments, so concurrent callers need no coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 __all__ = [
     "DETERMINISTIC_PRIMALITY_BOUND",
@@ -50,9 +51,11 @@ class RootResult:
 
 
 def integer_root(m: int, k: int) -> RootResult:
-    """Floor k-th root of m, by integer Newton iteration.
+    """Floor k-th root of m: math.isqrt for even k, integer Newton otherwise.
 
-    Let r = floor(m^(1/k)). For any x > r the step
+    Roots nest, floor(m^(1/2j)) = floor(isqrt(m)^(1/j)), as an integer is
+    at most sqrt(m) iff it is at most isqrt(m); exact iff both steps are.
+    For odd k, let r = floor(m^(1/k)). For any x > r the step
     x' = floor(((k - 1)*x + floor(m / x^(k-1))) / k) satisfies r <= x' < x:
     x' < x because x^k > m, and x' >= r by the AM-GM inequality, since
     floor((a + floor(b)) / k) = floor((a + b) / k) for an integer a. The
@@ -71,6 +74,12 @@ def integer_root(m: int, k: int) -> RootResult:
         return RootResult(m, True)
     if k >= m.bit_length():  # 2 <= m < 2^k: the floor root is 1, inexact
         return RootResult(1, False)
+    if not k & 1:
+        s = isqrt(m)
+        if k == 2:
+            return RootResult(s, s * s == m)
+        root = integer_root(s, k // 2)
+        return RootResult(root.root, root.exact and s * s == m)
     x = 1 << -(-m.bit_length() // k)
     while True:
         stepped = ((k - 1) * x + m // x ** (k - 1)) // k

@@ -52,9 +52,10 @@ __all__ = [
 _is_prime_memo = functools.lru_cache(maxsize=1024, typed=True)(is_prime)
 
 # Width in bits up to which an operand counts as short. It bounds verify's
-# direct comparison (at 2048 bits within 1.5x of its residue test) and the
-# width of the p^d + 1 it roots, and the trace's n > 1 width test and guided
-# split of z past it.
+# direct comparison (at 2048 bits within 1.5x of its residue test), the
+# width of the p^d + 1 it roots (past it, the odd part of n would need a
+# wide Newton step, and forming both sides is cheaper), and the trace's
+# n > 1 width test and guided split of z past it.
 _NARROW_BITS = 2048
 # The prime (2^37 - 1)/223, modulo which 2 has order 37: verify compares
 # wider candidates modulo it first. Below 2^30 it is one CPython digit, so a

@@ -9,9 +9,9 @@ Course in Computational Algebraic Number Theory, Alg. 1.7.3): z^(2n) mod M
 is always a (2n)-th power residue mod M, so a pair whose sum p^x + p^y is
 not one, for some modulus M, is no solution. The sieve works on residues
 of p's powers only; a row forms p^a only if some pair survives it, and a
-survivor forms p^b, then the sum p^a + p^b and its exact root. No table of
-powers is kept, so memory stays near the size of one sum. The equation is
-symmetric in x and y, so each unordered pair is checked once.
+survivor forms p^b, then the sum p^a + p^b and its integer_root of degree
+2n. No table of powers is kept, so memory stays near the size of one sum.
+The equation is symmetric, so each unordered pair is checked once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isqrt
 
 from .arithmetic import integer_root
 from .classifier import EquationInstance, SolutionTriple, enumerate_solutions, verify
@@ -109,15 +108,6 @@ def _sieve_patterns(modulus: int, k: int, p_mod: int) -> tuple[int, ...]:
     )
 
 
-def _exact_root(value: int, n: int) -> int | None:
-    """z with z^(2n) == value, or None if value is no (2n)-th power."""
-    s = isqrt(value)
-    if s * s != value:
-        return None
-    root = integer_root(s, n)
-    return root.root if root.exact else None
-
-
 @lru_cache(maxsize=256)
 def _coprime_moduli(p: int) -> tuple[int, ...]:
     """The sieve moduli that the prime p does not divide."""
@@ -136,20 +126,19 @@ def _row_sieve(modulus: int, root_degree: int, p: int, width: int):
 def _scan_rows(p: int, root_degree: int, a_max: int, b_max: int):
     """Check every unordered pair {a, b} with a <= a_max and a <= b <= b_max.
 
-    Returns plain (a, b, z) tuples. For each row a the sieve marks the b
-    that survive every modulus as bits of one int, and stops at the first
-    modulus that leaves none; a modulus's patterns are built the first time
-    a row reaches it. A narrow row, whose sums have at most
-    _NARROW_ROW_BITS bits, also stops at its last survivor.
-    Only a row with survivors forms p^a, and only a survivor forms p^b (its
-    own mask bit for p = 2), so no power of p is held beyond the row that
-    needs it.
+    Returns plain (a, b, z) tuples, one per survivor {a, b} whose sum has
+    the exact integer_root(sum, root_degree) z. For each row a the sieve
+    marks the b that survive every modulus as bits of one int, and stops at
+    the first modulus that leaves none; a modulus's patterns are built the
+    first time a row reaches it. A narrow row, whose sums have at most
+    _NARROW_ROW_BITS bits, also stops at its last survivor. Only a row with
+    survivors forms p^a, and only a survivor forms p^b (its own mask bit for
+    p = 2), so no power of p is held beyond the row that needs it.
     """
     width = b_max + 1
     moduli = _coprime_moduli(p)
     narrow = width * p.bit_length() <= _NARROW_ROW_BITS
     sieves = []
-    n = root_degree // 2
     full = (1 << width) - 1
     hits = []
     for a in range(a_max + 1):
@@ -173,9 +162,9 @@ def _scan_rows(p: int, root_degree: int, a_max: int, b_max: int):
             low = survivors & -survivors
             survivors ^= low
             b = low.bit_length() - 1
-            z = _exact_root(pa + (low if p == 2 else p**b), n)
-            if z is not None:
-                hits.append((a, b, z))
+            root = integer_root(pa + (low if p == 2 else p**b), root_degree)
+            if root.exact:
+                hits.append((a, b, root.root))
     return hits
 
 

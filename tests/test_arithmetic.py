@@ -1,11 +1,13 @@
 """Unit and property tests for the exact integer primitives."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pxpy.arithmetic
 from pxpy.arithmetic import (
     DETERMINISTIC_PRIMALITY_BOUND,
     RootResult,
@@ -69,7 +71,7 @@ class TestIntegerRoot:
 
     def test_exhaustive_small_range(self):
         # Incremental counting oracle: climb the floor root by hand.
-        for k in range(1, 7):
+        for k in range(1, 13):
             root = 0
             for m in range(20_001):
                 while (root + 1) ** k <= m:
@@ -90,6 +92,34 @@ class TestIntegerRoot:
     def test_degree_far_past_the_bit_length_returns_at_once(self):
         # 1 <= 2^20 < 2^(10^12); Newton from x = 2 would build 2^(10^12 - 1).
         assert integer_root(2**20, 10**12) == RootResult(1, False)
+
+    def test_power_of_two_degree_halves_to_a_square_root(self, monkeypatch):
+        # An even degree takes isqrt and roots that: 2^10 recurses through
+        # 2^9, ..., 2 and no Newton step runs.
+        degrees = []
+
+        def counting_root(m, k):
+            degrees.append(k)
+            return integer_root(m, k)
+
+        monkeypatch.setattr(pxpy.arithmetic, "integer_root", counting_root)
+        m = 243**1024
+        assert integer_root(m, 1024) == RootResult(243, True)
+        assert degrees == [2**i for i in range(9, 0, -1)]
+        assert integer_root(m - 1, 1024) == RootResult(242, False)
+        assert integer_root(m + 1, 1024) == RootResult(243, False)
+
+    @pytest.mark.parametrize("delta", [0, -1, 1])
+    def test_wide_fourth_root_is_fast(self, delta):
+        # A 100,000-bit root: two isqrt calls, where a Newton loop on the
+        # 400,000-bit radicand took over a second.
+        x = 3**63_093
+        assert x.bit_length() >= 100_000
+        m = x**4 + delta
+        started = time.perf_counter()
+        result = integer_root(m, 4)
+        assert time.perf_counter() - started < 0.5
+        assert result == RootResult(x - 1 if delta < 0 else x, delta == 0)
 
     def test_matches_isqrt(self):
         values = list(range(1000)) + [10**20 + 7, 2**61 - 1, 3**50, 10**30]

@@ -247,7 +247,7 @@ class TestSearch:
 
     def test_root_degree_past_the_sum_is_fast(self, capsys, monkeypatch):
         # The digit cap does not bound n. 2^39 + 2^39 = 2^40 survives the
-        # sieve, and its square root 2^20 goes to a 10^10-th root.
+        # sieve and goes to a root of degree 2 * 10^10.
         degrees = []
         integer_root = pxpy.oracle.integer_root
 
@@ -263,7 +263,7 @@ class TestSearch:
         assert code == 0
         (record,) = records(out)
         assert record["payload"]["solutions"] == []
-        assert 10**10 in degrees
+        assert 2 * 10**10 in degrees
 
 
 class TestCrosscheck:

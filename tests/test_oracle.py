@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pxpy.oracle
+from pxpy.arithmetic import RootResult
 from pxpy.classifier import EquationInstance, SolutionTriple, enumerate_solutions, verify
 from pxpy.errors import InternalInconsistencyError
 from pxpy.oracle import SearchBox, brute_force, cross_check
@@ -85,11 +86,11 @@ class TestBruteForce:
         # solutions, so some pairs pass the sieve and reach the root.
         asked = []
 
-        def false_root(value, n):
+        def false_root(value, k):
             asked.append(value)
-            return 1
+            return RootResult(1, True)
 
-        monkeypatch.setattr(pxpy.oracle, "_exact_root", false_root)
+        monkeypatch.setattr(pxpy.oracle, "integer_root", false_root)
         with pytest.raises(InternalInconsistencyError):
             brute_force(EquationInstance(2, 1), SearchBox(3, 3))
         assert asked
