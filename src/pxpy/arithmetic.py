@@ -7,8 +7,8 @@ pure function of its arguments, so concurrent callers need no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 __all__ = [
     "DETERMINISTIC_PRIMALITY_BOUND",
@@ -38,12 +38,12 @@ _WITNESS_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class RootResult:
+class RootResult(NamedTuple):
     """Floor k-th root of a radicand plus an exactness flag.
 
     Invariants: root**k <= radicand < (root + 1)**k, and exact holds iff
-    root**k == radicand.
+    root**k == radicand. Equal to any equal tuple, even another record's;
+    no pxpy container mixes record types.
     """
 
     root: int
@@ -78,8 +78,8 @@ def integer_root(m: int, k: int) -> RootResult:
         s = isqrt(m)
         if k == 2:
             return RootResult(s, s * s == m)
-        root = integer_root(s, k // 2)
-        return RootResult(root.root, root.exact and s * s == m)
+        root, exact = integer_root(s, k // 2)
+        return RootResult(root, exact and s * s == m)
     x = 1 << -(-m.bit_length() // k)
     while True:
         stepped = ((k - 1) * x + m // x ** (k - 1)) // k

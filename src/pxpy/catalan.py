@@ -10,7 +10,7 @@ All searches are serial and emit sorted results, so output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classifier import EquationInstance
 from .errors import InternalInconsistencyError
@@ -23,18 +23,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class CatalanInstance:
-    """The query: does a^x - b^y = 1 hold?"""
+class CatalanInstance(
+    NamedTuple("CatalanInstance", [("a", int), ("b", int), ("x", int), ("y", int)])
+):
+    """The query: does a^x - b^y = 1 hold?
 
-    a: int
-    b: int
-    x: int
-    y: int
+    Equal to any equal tuple, even another record's; no pxpy container
+    mixes record types.
+    """
 
-    def __post_init__(self) -> None:
-        if min(self.a, self.b, self.x, self.y) < 0:
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, x: int, y: int) -> CatalanInstance:
+        if min(a, b, x, y) < 0:
             raise ValueError("all fields must be non-negative")
+        return tuple.__new__(cls, (a, b, x, y))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
 def search_catalan(a_max: int, b_max: int, x_max: int, y_max: int) -> list[CatalanInstance]:
@@ -56,7 +61,7 @@ def search_catalan(a_max: int, b_max: int, x_max: int, y_max: int) -> list[Catal
             for a, x in powers.get(value + 1, ()):
                 found.append(CatalanInstance(a, b, x, y))
             value *= b
-    found.sort(key=lambda inst: (inst.a, inst.b, inst.x, inst.y))
+    found.sort()
     return found
 
 

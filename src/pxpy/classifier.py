@@ -22,14 +22,15 @@ its arguments; the prose of a rejection is rendered from `_REASONS` only
 when `rejection_reason` is read. The trace never forms w = z^n, and verify
 settles a wide candidate with one integer root of p^d + 1 and one product.
 
-Everything here is pure and immutable; values are safe to share across
-threads.
+Every record here is an immutable, hashable tuple of its fields, so it
+equals a plain tuple of those values, and a record of another type holding
+them: EquationInstance(2, 1) == SearchBox(2, 1). No pxpy container mixes
+record types. Everything is pure; values are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arithmetic import eval_lhs, integer_root, is_prime, p_adic_valuation
@@ -63,18 +64,23 @@ _NARROW_BITS = 2048
 _RESIDUE_MODULUS = 616_318_177
 
 
-@dataclass(frozen=True, slots=True)
-class EquationInstance:
-    """One equation p^x + p^y = z^(2n): a prime base p and an exponent n >= 1."""
+class EquationInstance(NamedTuple("EquationInstance", [("p", int), ("n", int)])):
+    """One equation p^x + p^y = z^(2n): a prime base p and an exponent n >= 1.
 
-    p: int
-    n: int
+    Equal to any equal tuple, even another record's, as in
+    EquationInstance(2, 1) == SearchBox(2, 1); no pxpy container mixes them.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    __slots__ = ()
+
+    def __new__(cls, p: int, n: int) -> EquationInstance:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if not _is_prime_memo(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        if not _is_prime_memo(p):
+            raise ValueError(f"p must be prime, got {p}")
+        return tuple.__new__(cls, (p, n))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @property
     def power(self) -> int:
@@ -82,28 +88,32 @@ class EquationInstance:
         return 2 * self.n
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class SolutionTriple:
-    """A candidate (x, y, z); certified for (p, n) iff p^x + p^y = z^(2n)."""
+class SolutionTriple(NamedTuple("SolutionTriple", [("x", int), ("y", int), ("z", int)])):
+    """A candidate (x, y, z); certified for (p, n) iff p^x + p^y = z^(2n).
 
-    x: int
-    y: int
-    z: int
+    Triples order by (x, y, z). Equal to any equal tuple, even another
+    record's; no pxpy container mixes record types.
+    """
 
-    def __post_init__(self) -> None:
-        if self.x < 0 or self.y < 0 or self.z < 0:
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int, z: int) -> SolutionTriple:
+        if x < 0 or y < 0 or z < 0:
             raise ValueError("x, y, z must be non-negative")
+        return tuple.__new__(cls, (x, y, z))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.x, self.y, self.z)
+        return tuple(self)
 
 
-@dataclass(frozen=True, slots=True)
-class SolutionFamily:
+class SolutionFamily(NamedTuple):
     """x = 2s + x_offset, y = 2s + y_offset, z = scale * p^((s + shift) / n).
 
     p and n come from the instance. Every s >= 0 with n | s + shift yields a
-    solution; that divisibility is the family's only condition.
+    solution; that divisibility is the family's only condition. Equal to
+    any equal tuple, even another record's; no pxpy container mixes them.
     """
 
     instance: EquationInstance
@@ -117,7 +127,7 @@ class SolutionFamily:
         return f"s = {-self.shift % n} (mod {n})"
 
     def __str__(self) -> str:
-        p, n = self.instance.p, self.instance.n
+        p, n = self.instance
         exponent = f"(s+{self.shift})" if self.shift else "s"
         if n != 1:
             exponent = f"({exponent}/{n})"
@@ -237,19 +247,16 @@ def instantiate(family: SolutionFamily, s: int) -> SolutionTriple:
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    instance = family.instance
-    exponent, remainder = divmod(s + family.shift, instance.n)
+    instance, x_offset, y_offset, scale, shift = family
+    p, n = instance
+    exponent, remainder = divmod(s + shift, n)
     if remainder:
         raise ValueError(f"s={s} violates the family condition {family._condition()}")
-    triple = SolutionTriple(
-        2 * s + family.x_offset,
-        2 * s + family.y_offset,
-        family.scale * instance.p**exponent,
-    )
+    triple = SolutionTriple(2 * s + x_offset, 2 * s + y_offset, scale * p**exponent)
     if not verify(instance, triple):
         raise InternalInconsistencyError(
             f"family {family} at s={s} produced {triple.as_tuple()}, which does "
-            f"not satisfy {instance.p}^x + {instance.p}^y = z^{instance.power}"
+            f"not satisfy {p}^x + {p}^y = z^{2 * n}"
         )
     return triple
 
@@ -289,8 +296,9 @@ def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
     for p = 2 and factors p^lo * (p^d + 1) otherwise. The answer is exact
     at every size.
     """
-    p, power = instance.p, 2 * instance.n
-    x, y, z = triple.x, triple.y, triple.z
+    p, n = instance
+    x, y, z = triple
+    power = 2 * n
     high = x if x > y else y
     p_bits = p.bit_length()
     if high * p_bits > _NARROW_BITS or z.bit_length() * power > _NARROW_BITS:
@@ -306,8 +314,8 @@ def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
             e, remainder = divmod(v, power)
             if remainder:
                 return False
-            k = integer_root(c, power)
-            return k.exact and z == (k.root << e if p == 2 else k.root * p**e)
+            k, exact = integer_root(c, power)
+            return exact and z == (k << e if p == 2 else k * p**e)
     return eval_lhs(p, x, y) == z**power
 
 
@@ -341,8 +349,8 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
     length follows the exponents it names. For n > 1 the trace decides
     from z alone and never forms w = z^n, on an acceptance either.
     """
-    p, n = instance.p, instance.n
-    x, y, z = triple.x, triple.y, triple.z
+    p, n = instance
+    x, y, z = triple
     if z == 0:
         return CaseTrace(_PRECASE_Z_ZERO, None, None, "z_zero", (p, 2 * n))
     if n == 1:

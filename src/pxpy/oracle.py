@@ -17,8 +17,8 @@ The equation is symmetric, so each unordered pair is checked once.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arithmetic import integer_root
 from .classifier import EquationInstance, SolutionTriple, enumerate_solutions, verify
@@ -45,35 +45,48 @@ _SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 _NARROW_ROW_BITS = 1024
 
 
-@dataclass(frozen=True, slots=True)
-class SearchBox:
-    """The finite search domain {0..x_max} x {0..y_max}."""
+class SearchBox(NamedTuple("SearchBox", [("x_max", int), ("y_max", int)])):
+    """The finite search domain {0..x_max} x {0..y_max}.
 
-    x_max: int
-    y_max: int
+    Equal to any equal tuple, even another record's, as in
+    SearchBox(2, 1) == EquationInstance(2, 1); no pxpy container mixes them.
+    """
 
-    def __post_init__(self) -> None:
-        if self.x_max < 0 or self.y_max < 0:
+    __slots__ = ()
+
+    def __new__(cls, x_max: int, y_max: int) -> SearchBox:
+        if x_max < 0 or y_max < 0:
             raise ValueError("box bounds must be non-negative")
+        return tuple.__new__(cls, (x_max, y_max))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @property
     def pairs(self) -> int:
         return (self.x_max + 1) * (self.y_max + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Everything a bounded search found, plus how much work it did.
 
     Every search checks the whole box, so the derived pairs_checked is
-    box.pairs. elapsed_ms is excluded from equality so reports of repeated
-    searches compare equal.
+    box.pairs. A report equals only a report, and elapsed_ms is left out of
+    equality and the hash, so reports of repeated searches compare equal.
     """
 
     instance: EquationInstance
     box: SearchBox
     solutions: tuple[SolutionTriple, ...]
-    elapsed_ms: float = field(compare=False)
+    elapsed_ms: float
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SearchReport) and self[:3] == other[:3]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:3])
 
     @property
     def pairs_checked(self) -> int:
@@ -162,9 +175,9 @@ def _scan_rows(p: int, root_degree: int, a_max: int, b_max: int):
             low = survivors & -survivors
             survivors ^= low
             b = low.bit_length() - 1
-            root = integer_root(pa + (low if p == 2 else p**b), root_degree)
-            if root.exact:
-                hits.append((a, b, root.root))
+            root, exact = integer_root(pa + (low if p == 2 else p**b), root_degree)
+            if exact:
+                hits.append((a, b, root))
     return hits
 
 
@@ -181,29 +194,30 @@ def brute_force(
     """
     del workers
     started = time.perf_counter()
-    a_max, b_max = sorted((box.x_max, box.y_max))
+    x_max, y_max = box
+    a_max, b_max = sorted(box)
     found = []
     for a, b, z in _scan_rows(instance.p, instance.power, a_max, b_max):
         if not verify(instance, SolutionTriple(a, b, z)):
             raise InternalInconsistencyError(
                 f"search reported {(a, b, z)}, which fails re-checking"
             )
-        if a <= box.x_max and b <= box.y_max:
+        if a <= x_max and b <= y_max:
             found.append((a, b, z))
-        if a != b and b <= box.x_max and a <= box.y_max:
+        if a != b and b <= x_max and a <= y_max:
             found.append((b, a, z))
     solutions = tuple(SolutionTriple(*hit) for hit in sorted(found))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return SearchReport(instance, box, solutions, elapsed_ms)
 
 
-@dataclass(frozen=True, slots=True)
-class CrossCheckResult:
+class CrossCheckResult(NamedTuple):
     """Agreement between the brute-force search and the family enumeration.
 
     Both sides are compared on the whole box, every pair the search covered;
     the symmetric difference is split into the triples only one side
-    produced.
+    produced. Equal to any equal tuple, even another record's; no pxpy
+    container mixes record types.
     """
 
     instance: EquationInstance
@@ -231,7 +245,7 @@ def cross_check(
     """
     del workers
     searched = set(brute_force(instance, box).solutions)
-    expected = set(enumerate_solutions(instance, box.x_max, box.y_max))
+    expected = set(enumerate_solutions(instance, *box))
     return CrossCheckResult(
         instance,
         box,

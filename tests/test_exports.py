@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pxpy
@@ -82,3 +85,15 @@ def test_no_private_name_is_left_unused():
             defined += [f"{name}:{target}" for target in targets
                         if target.startswith("_") and not target.startswith("__")]
     assert [entry for entry in defined if entry.split(":")[1] not in read] == []
+
+
+def test_cold_cli_import_leaves_out_dataclasses_and_inspect():
+    # Records are tuples, so a cold command pays for neither module.
+    src = str(Path(pxpy.__path__[0]).parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, pxpy.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

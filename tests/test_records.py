@@ -94,3 +94,32 @@ class TestSearchReportEquality:
         other = self._report((SolutionTriple(3, 0, 3),), 1.0)
         assert one != other
         assert not one == other
+
+    def test_a_report_equals_only_a_report(self):
+        report = self._report((SolutionTriple(0, 3, 3),), 1.0)
+        assert report != tuple(report) and tuple(report) != report
+        assert not report == tuple(report)
+
+
+@pytest.mark.parametrize(
+    "record, change, message",
+    [
+        (EquationInstance(2, 1), {"p": 4}, "p must be prime, got 4"),
+        (EquationInstance(2, 1), {"n": 0}, "n must be >= 1"),
+        (SolutionTriple(1, 2, 3), {"x": -1}, "x, y, z must be non-negative"),
+        (SearchBox(3, 4), {"y_max": -1}, "box bounds must be non-negative"),
+        (CatalanInstance(3, 2, 2, 3), {"a": -1}, "all fields must be non-negative"),
+    ],
+    ids=["EquationInstance-p", "EquationInstance-n", "SolutionTriple", "SearchBox",
+         "CatalanInstance"],
+)
+def test_replace_and_make_check_like_the_constructor(record, change, message):
+    with pytest.raises(ValueError) as excinfo:
+        record._replace(**change)
+    assert str(excinfo.value) == message
+    fields = [change.get(name, value) for name, value in zip(record._fields, record)]
+    with pytest.raises(ValueError) as excinfo:
+        type(record)._make(fields)
+    assert str(excinfo.value) == message
+    assert type(record)._make(record) == record
+    assert type(record._replace()) is type(record)
