@@ -228,7 +228,7 @@ def classify(instance: EquationInstance) -> tuple[SolutionFamily, ...]:
 
     An empty tuple means the instance has no solutions.
     """
-    p, n = instance.p, instance.n
+    p, n = instance
     if n == 1 and p == 2:
         rows = ((3, 0, 3, 0), (0, 3, 3, 0), (1, 1, 1, 1))
     elif n == 1 and p == 3:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
+from itertools import starmap
 from typing import NamedTuple
 
 from .arithmetic import integer_root
@@ -194,10 +195,11 @@ def brute_force(
     """
     del workers
     started = time.perf_counter()
+    p, n = instance
     x_max, y_max = box
     a_max, b_max = sorted(box)
     found = []
-    for a, b, z in _scan_rows(instance.p, instance.power, a_max, b_max):
+    for a, b, z in _scan_rows(p, 2 * n, a_max, b_max):
         if not verify(instance, SolutionTriple(a, b, z)):
             raise InternalInconsistencyError(
                 f"search reported {(a, b, z)}, which fails re-checking"
@@ -206,7 +208,7 @@ def brute_force(
             found.append((a, b, z))
         if a != b and b <= x_max and a <= y_max:
             found.append((b, a, z))
-    solutions = tuple(SolutionTriple(*hit) for hit in sorted(found))
+    solutions = tuple(starmap(SolutionTriple, sorted(found)))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return SearchReport(instance, box, solutions, elapsed_ms)
 
