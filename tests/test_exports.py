@@ -88,10 +88,14 @@ def test_no_private_name_is_left_unused():
 
 
 def test_cold_cli_import_leaves_out_dataclasses_and_inspect():
-    # Records are tuples, so a cold command pays for neither module.
+    # Records are tuples, so a cold command pays for neither module. Modules
+    # a site hook loaded before pxpy are not pxpy's, so they are left aside.
     src = str(Path(pxpy.__path__[0]).parent)
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, pxpy.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = (
+        "import sys; before = set(sys.modules); import pxpy.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
