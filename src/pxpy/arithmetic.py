@@ -3,11 +3,15 @@
 Plain Python ints carry every value (they are unbounded), all results are
 computed exactly with no floating point anywhere, and every function is a
 pure function of its arguments, so concurrent callers need no coordination.
+is_prime keeps a bounded cache of its answers; it stays pure, and the cache
+is safe to share across threads.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
+from operator import index
 from typing import NamedTuple
 
 __all__ = [
@@ -19,23 +23,12 @@ __all__ = [
     "p_adic_valuation",
 ]
 
-# Largest value below which the strong-probable-prime witness tiers used by
-# is_prime() are proven to leave no composite undetected.
+# psi_13, the least strong pseudoprime to every prime base up to 41 (Sorenson
+# and Webster 2017): below it, _WITNESSES leave no composite undetected.
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
-# (bound, witnesses): the witness set is complete for every n < bound.
-_WITNESS_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (2_047, (2,)),
-    (1_373_653, (2, 3)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (2_152_302_898_747, (2, 3, 5, 7, 11)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-    (DETERMINISTIC_PRIMALITY_BOUND, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
-)
+# The first 13 primes, the strong-probable-prime witnesses of is_prime.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class RootResult(NamedTuple):
@@ -130,30 +123,37 @@ def _remove(m: int, q: int) -> tuple[int, int]:
     return 2 * half + 2, quotient
 
 
+# EquationInstance tests p on every construction, and callers build many
+# instances over a few primes. typed=True keeps 7.0 from hitting 7's entry,
+# so a non-int always reaches the body and is refused.
+@lru_cache(maxsize=1024, typed=True)
 def is_prime(m: int) -> bool:
     """Deterministic primality test.
 
-    Strong-probable-prime rounds with witness sets proven complete for every
-    value below DETERMINISTIC_PRIMALITY_BOUND (about 3.3 * 10^24), small
-    values included. Inputs at or above that bound are refused with
-    ValueError rather than risking a wrong answer.
+    Trial division by the first 13 primes, 2..41, answers every m below
+    43^2 and every m with one of them as a factor. Any other m gets
+    strong-probable-prime rounds on those same 13 witnesses, which are
+    proven to leave no composite undetected below
+    DETERMINISTIC_PRIMALITY_BOUND = psi_13, about 3.3 * 10^24 (Sorenson and
+    Webster, Math. Comp. 86 (2017), 985-1003). Inputs at or above that bound
+    are refused with ValueError rather than risking a wrong answer, and a
+    non-integer m with TypeError. Answers are cached (1024 entries).
     """
-    if m < 4:
-        return m >= 2
+    m = index(m)
     if m >= DETERMINISTIC_PRIMALITY_BOUND:
         raise ValueError(
             f"cannot certify primality of {m}: deterministic witness sets "
             f"are only proven below {DETERMINISTIC_PRIMALITY_BOUND}"
         )
-    if m % 2 == 0:
-        return False
-    for bound, witnesses in _WITNESS_TIERS:
-        if m < bound:
-            break
+    for a in _WITNESSES:
+        if m % a == 0:
+            return m == a
+    if m < 43 * 43:  # a composite this small has a prime factor below 43
+        return m > 1
     d = m - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for a in witnesses:
+    for a in _WITNESSES:
         x = pow(a, d, m)
         if x == 1 or x == m - 1:
             continue

@@ -30,7 +30,6 @@ record types. Everything is pure; values are safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 from .arithmetic import eval_lhs, integer_root, is_prime, p_adic_valuation
@@ -47,10 +46,6 @@ __all__ = [
     "trace_candidate",
     "verify",
 ]
-
-# EquationInstance tests p on every construction, and callers build many
-# instances over a few primes. typed=True keeps 7.0 from borrowing 7's entry.
-_is_prime_memo = functools.lru_cache(maxsize=1024, typed=True)(is_prime)
 
 # Width in bits up to which an operand counts as short. It bounds verify's
 # direct comparison (at 2048 bits within 1.5x of its residue test), the
@@ -76,7 +71,7 @@ class EquationInstance(NamedTuple("EquationInstance", [("p", int), ("n", int)]))
     def __new__(cls, p: int, n: int) -> EquationInstance:
         if n < 1:
             raise ValueError("n must be >= 1")
-        if not _is_prime_memo(p):
+        if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         return tuple.__new__(cls, (p, n))
 

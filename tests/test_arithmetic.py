@@ -234,8 +234,9 @@ class TestIsPrime:
             assert is_prime(m) == bool(flags[m]), m
 
     def test_probable_prime_boundary(self):
-        # Just past the sieve tests' range, still in the (2, 3) witness tier
-        # (2047 <= m < 1_373_653); checked against plain trial division.
+        # Just past the sieve tests' range, so above 43^2 where every m
+        # without a factor up to 41 takes the strong-probable-prime rounds;
+        # checked against plain trial division.
         for m in range(1_000_000, 1_000_400):
             assert is_prime(m) == trial_division_is_prime(m), m
 
@@ -248,6 +249,7 @@ class TestIsPrime:
             3_474_749_660_383,  # strong pseudoprime to 2..13
             341_550_071_728_321,  # strong pseudoprime to 2..17
             3_825_123_056_546_413_051,  # strong pseudoprime to 2..23
+            318_665_857_834_031_151_167_461,  # strong pseudoprime to 2..37
         ]
         for m in composites:
             assert not is_prime(m), m
@@ -255,6 +257,13 @@ class TestIsPrime:
     def test_large_primes_accepted(self):
         assert is_prime(2**61 - 1)
         assert is_prime(67_280_421_310_721)  # factor of 2^128 + 1
+
+    def test_refuses_non_integers(self):
+        # 7 first, so a cached answer for 7 cannot stand in for 7.0.
+        assert is_prime(7)
+        for m in (2.0, 3.0, 7.0):
+            with pytest.raises(TypeError):
+                is_prime(m)
 
     def test_refuses_beyond_proven_bound(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pxpy
 import pxpy.arithmetic
 import pxpy.classifier
 from pxpy.arithmetic import eval_lhs, integer_root
@@ -45,6 +46,28 @@ class TestEquationInstance:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             EquationInstance(2, 0)
+
+    def test_rejects_a_non_integer_p(self):
+        with pytest.raises(TypeError):
+            EquationInstance(2.0, 1)
+
+    def test_checks_p_through_is_prime_by_name(self, monkeypatch):
+        # Rebind is_prime wherever pxpy holds it, as perfbench's span
+        # recorder does: every construction, cached or not, must be seen.
+        original = pxpy.arithmetic.is_prime
+        seen = []
+
+        def counted(m):
+            seen.append(m)
+            return original(m)
+
+        for module in (pxpy, pxpy.arithmetic, pxpy.classifier):
+            monkeypatch.setattr(module, "is_prime", counted)
+        p = 1_000_000_000_039
+        EquationInstance(p, 1)
+        assert seen == [p]
+        EquationInstance(p, 1)
+        assert seen == [p, p]
 
 
 class TestSolutionTriple:
