@@ -30,6 +30,7 @@ record types. Everything is pure; values are safe to share across threads.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from .arithmetic import eval_lhs, integer_root, is_prime, p_adic_valuation
@@ -69,6 +70,7 @@ class EquationInstance(NamedTuple("EquationInstance", [("p", int), ("n", int)]))
     __slots__ = ()
 
     def __new__(cls, p: int, n: int) -> EquationInstance:
+        n = index(n)
         if n < 1:
             raise ValueError("n must be >= 1")
         if not is_prime(p):

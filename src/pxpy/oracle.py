@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 from itertools import starmap
+from operator import index
 from typing import NamedTuple
 
 from .arithmetic import integer_root
@@ -34,8 +35,8 @@ __all__ = [
 ]
 
 # Sieve moduli: Cohen's 64, 63, 65 and 11, then the primes 17..67. A scan
-# uses each one p does not divide, as a shared factor filters nothing. A
-# prime divides at most one, so ending at 67 leaves every scan 16 or more.
+# takes them in order and skips each one p divides, as a shared factor
+# filters nothing. A prime divides at most one, so every scan keeps 16+.
 _SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 # A row whose sums have at most this many bits stops sieving at its last
 # survivor: a root that narrow costs about as much as a sieve step, and a
@@ -56,6 +57,7 @@ class SearchBox(NamedTuple("SearchBox", [("x_max", int), ("y_max", int)])):
     __slots__ = ()
 
     def __new__(cls, x_max: int, y_max: int) -> SearchBox:
+        x_max, y_max = index(x_max), index(y_max)
         if x_max < 0 or y_max < 0:
             raise ValueError("box bounds must be non-negative")
         return tuple.__new__(cls, (x_max, y_max))
@@ -94,38 +96,24 @@ class SearchReport(NamedTuple):
         return self.box.pairs
 
 
-@lru_cache(maxsize=256)
-def _power_residues(modulus: int, k: int) -> bytes:
-    """table[r] == 1 iff r is a k-th power residue mod modulus."""
-    table = bytearray(modulus)
-    for r in range(modulus):
-        table[pow(r, k, modulus)] = 1
-    return bytes(table)
-
-
 @lru_cache(maxsize=4096)
 def _sieve_patterns(modulus: int, k: int, p_mod: int) -> tuple[int, ...]:
     """Sieve bit patterns over one period of p's powers mod modulus.
 
     p_mod is p mod modulus, a unit. With t the period, pattern i has bit j
-    set (0 <= i, j < t) iff p^i + p^j is a k-th power residue mod modulus.
+    set (0 <= i, j < t) iff p^i + p^j is in the k-th power residues mod
+    modulus, a set built here: this cache is the one table of a modulus.
     """
+    residues = {pow(r, k, modulus) for r in range(modulus)}
     cycle = [1]
     r = p_mod
     while r != 1:
         cycle.append(r)
         r = r * p_mod % modulus
-    table = _power_residues(modulus, k)
     return tuple(
-        sum(1 << j for j, c in enumerate(cycle) if table[(a + c) % modulus])
+        sum(1 << j for j, c in enumerate(cycle) if (a + c) % modulus in residues)
         for a in cycle
     )
-
-
-@lru_cache(maxsize=256)
-def _coprime_moduli(p: int) -> tuple[int, ...]:
-    """The sieve moduli that the prime p does not divide."""
-    return tuple(m for m in _SIEVE_MODULI if m % p)
 
 
 def _row_sieve(modulus: int, root_degree: int, p: int, width: int):
@@ -143,14 +131,16 @@ def _scan_rows(p: int, root_degree: int, a_max: int, b_max: int):
     Returns plain (a, b, z) tuples, one per survivor {a, b} whose sum has
     the exact integer_root(sum, root_degree) z. For each row a the sieve
     marks the b that survive every modulus as bits of one int, and stops at
-    the first modulus that leaves none; a modulus's patterns are built the
-    first time a row reaches it. A narrow row, whose sums have at most
+    the first modulus that leaves none. The moduli, the _SIEVE_MODULI that
+    p does not divide, come in order from one pass over the table, which a
+    row that outlasts those built so far resumes: each is built once, when
+    a row first reaches it. A narrow row, whose sums have at most
     _NARROW_ROW_BITS bits, also stops at its last survivor. Only a row with
     survivors forms p^a, and only a survivor forms p^b (its own mask bit for
     p = 2), so no power of p is held beyond the row that needs it.
     """
     width = b_max + 1
-    moduli = _coprime_moduli(p)
+    moduli = iter(_SIEVE_MODULI)
     narrow = width * p.bit_length() <= _NARROW_ROW_BITS
     sieves = []
     full = (1 << width) - 1
@@ -163,7 +153,9 @@ def _scan_rows(p: int, root_degree: int, a_max: int, b_max: int):
                 break
         else:
             # The row outlasted every modulus built so far: build on.
-            for modulus in moduli[len(sieves) :]:
+            for modulus in moduli:
+                if not modulus % p:
+                    continue
                 period, patterns, tile = sieve = _row_sieve(modulus, root_degree, p, width)
                 sieves.append(sieve)
                 survivors &= patterns[a % period] * tile

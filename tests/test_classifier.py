@@ -51,6 +51,17 @@ class TestEquationInstance:
         with pytest.raises(TypeError):
             EquationInstance(2.0, 1)
 
+    def test_rejects_a_non_integer_n(self):
+        # A float n would reach pow(..., mod) deep inside verify and the sieve.
+        with pytest.raises(TypeError):
+            EquationInstance(2, 1.0)
+        with pytest.raises(TypeError):
+            EquationInstance(2, "1")
+
+    def test_stores_n_as_an_int(self):
+        inst = EquationInstance(2, True)
+        assert type(inst.n) is int and inst == (2, 1)
+
     def test_checks_p_through_is_prime_by_name(self, monkeypatch):
         # Rebind is_prime wherever pxpy holds it, as perfbench's span
         # recorder does: every construction, cached or not, must be seen.

@@ -1,7 +1,7 @@
 """Tests for the brute-force search and the classifier cross-check."""
 
 import tracemalloc
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +33,17 @@ class TestSearchBox:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             SearchBox(-1, 3)
+
+    def test_rejects_non_integer_bounds(self):
+        with pytest.raises(TypeError):
+            SearchBox(2.0, 3)
+        with pytest.raises(TypeError):
+            SearchBox(2, 3.0)
+
+    def test_stores_bounds_as_ints(self):
+        box = SearchBox(True, 2)
+        assert [type(bound) for bound in box] == [int, int]
+        assert box.pairs == 6
 
 
 class TestBruteForce:
@@ -140,44 +151,69 @@ def naive_scan(p, n, x_max, y_max):
     return hits
 
 
-class TestScanKernel:
-    def test_every_table_modulus_is_used(self):
-        # A prime divides at most one table entry, so no entry is dead weight:
-        # a scan keeps 16 moduli for p <= 67 and all 17 above.
-        table = pxpy.oracle._SIEVE_MODULI
-        for p in (2, 3, 5, 7, 11, 13, 53, 67, 71, 1_000_003):
-            moduli = pxpy.oracle._coprime_moduli(p)
-            assert moduli == tuple(m for m in table if gcd(m, p) == 1), p
-            assert len(moduli) == (16 if p <= 67 else 17), p
+def coprime_moduli(p):
+    """The sieve table's moduli that p does not divide, in table order."""
+    return [m for m in pxpy.oracle._SIEVE_MODULI if m % p]
 
-    @pytest.mark.parametrize("k", range(2, 13))
-    def test_residue_tables_are_exact(self, k):
-        for modulus in pxpy.oracle._SIEVE_MODULI:
-            table = pxpy.oracle._power_residues(modulus, k)
-            expected = {pow(r, k, modulus) for r in range(modulus)}
-            assert {r for r in range(modulus) if table[r]} == expected, (modulus, k)
+
+class TestScanKernel:
+    def test_every_table_modulus_is_used(self, monkeypatch):
+        # An all-pass sieve (period 1, pattern 1, all-ones tile) empties no
+        # row, so every row runs the full depth: the scan must build each
+        # table modulus p does not divide, in table order, and only once.
+        built = []
+
+        def all_pass(modulus, root_degree, p, width):
+            built.append(modulus)
+            return 1, (1,), (1 << width) - 1
+
+        monkeypatch.setattr(pxpy.oracle, "_row_sieve", all_pass)
+        monkeypatch.setattr(pxpy.oracle, "_NARROW_ROW_BITS", 0)
+        for p in (2, 3, 5, 7, 13, 53, 67, 71, 1_000_003):
+            built.clear()
+            pxpy.oracle._scan_rows(p, 2, 3, 3)
+            assert built == coprime_moduli(p), p
+            assert len(built) == (16 if p <= 67 else 17), p
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 53, 67, 71, 1_000_003])
+    def test_each_row_resumes_the_pass(self, monkeypatch, p):
+        # The i-th modulus built empties row i alone, so row a reuses the a
+        # moduli built before it and builds one more, the next in order;
+        # rows past the last one build nothing.
+        built = []
+
+        def empties_its_own_row(modulus, root_degree, p, width):
+            row = len(built)
+            built.append(modulus)
+            return 32, tuple(int(i != row) for i in range(32)), (1 << width) - 1
+
+        monkeypatch.setattr(pxpy.oracle, "_row_sieve", empties_its_own_row)
+        monkeypatch.setattr(pxpy.oracle, "_NARROW_ROW_BITS", 0)
+        depths = []
+        for a_max in range(20):
+            built.clear()
+            pxpy.oracle._scan_rows(p, 2, a_max, 20)
+            depths.append(len(built))
+        assert built == coprime_moduli(p), p
+        assert depths == [min(a + 1, len(built)) for a in range(20)], p
 
     @pytest.mark.parametrize("p", [2, 3, 5, 53, 59, 97, 101, 113, 1_000_003])
     def test_sieve_patterns_are_exact(self, p):
-        moduli = pxpy.oracle._coprime_moduli(p)
-        assert len(moduli) >= 16
-        assert all(gcd(m, p) == 1 for m in moduli)
-        for modulus in moduli:
-            for k in (2, 4, 6):
+        # Against residue sets and powers of p built here, for k = 2..12.
+        for modulus in pxpy.oracle._SIEVE_MODULI:
+            if modulus % p == 0:
+                continue
+            for k in range(2, 13):
+                residues = {pow(r, k, modulus) for r in range(modulus)}
                 patterns = pxpy.oracle._sieve_patterns(modulus, k, p % modulus)
-                table = pxpy.oracle._power_residues(modulus, k)
                 period = len(patterns)
                 assert pow(p, period, modulus) == 1
+                powers = [pow(p, i, modulus) for i in range(period)]
+                assert len(set(powers)) == period, (p, modulus)
                 for i, pattern in enumerate(patterns):
                     for j in range(period):
-                        residue = (pow(p, i, modulus) + pow(p, j, modulus)) % modulus
-                        assert (pattern >> j) & 1 == table[residue], (p, modulus, k, i, j)
-
-    def test_coprime_skip_depends_on_p(self):
-        assert 53 not in pxpy.oracle._coprime_moduli(53)
-        assert 53 in pxpy.oracle._coprime_moduli(59)
-        assert 64 not in pxpy.oracle._coprime_moduli(2)
-        assert 63 not in pxpy.oracle._coprime_moduli(3)
+                        bit = (powers[i] + powers[j]) % modulus in residues
+                        assert (pattern >> j) & 1 == bit, (p, modulus, k, i, j)
 
     @pytest.mark.parametrize(
         "p, n, box, built",
@@ -187,7 +223,7 @@ class TestScanKernel:
             (97, 1, SearchBox(40, 40), 1),
             # p = 2, n = 1: every row holds a hit, so rows too wide to stop
             # at their last survivor run the full depth.
-            (2, 1, SearchBox(3, 600), len(pxpy.oracle._coprime_moduli(2))),
+            (2, 1, SearchBox(3, 600), len(coprime_moduli(2))),
         ],
     )
     def test_sieve_depth_is_built_on_demand(self, monkeypatch, p, n, box, built):
@@ -200,7 +236,7 @@ class TestScanKernel:
 
         monkeypatch.setattr(pxpy.oracle, "_row_sieve", recording)
         brute_force(EquationInstance(p, n), box)
-        assert moduli == list(pxpy.oracle._coprime_moduli(p)[:built])
+        assert moduli == coprime_moduli(p)[:built]
 
     def test_narrow_rows_stop_at_their_last_survivor(self, monkeypatch):
         depths = []
@@ -216,7 +252,7 @@ class TestScanKernel:
             monkeypatch.setattr(pxpy.oracle, "_NARROW_ROW_BITS", narrow_bits)
             depths.append(0)
             results.append(pxpy.oracle._scan_rows(2, 2, 40, 40))
-        assert depths[0] < depths[1] == len(pxpy.oracle._coprime_moduli(2))
+        assert depths[0] < depths[1] == len(coprime_moduli(2))
         assert results[0] == results[1]
 
     def test_wide_strip_holds_no_powers_table(self):

@@ -101,6 +101,9 @@ class TestSearchReportEquality:
         assert not report == tuple(report)
 
 
+NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"
+
+
 @pytest.mark.parametrize(
     "record, change, message",
     [
@@ -109,16 +112,21 @@ class TestSearchReportEquality:
         (SolutionTriple(1, 2, 3), {"x": -1}, "x, y, z must be non-negative"),
         (SearchBox(3, 4), {"y_max": -1}, "box bounds must be non-negative"),
         (CatalanInstance(3, 2, 2, 3), {"a": -1}, "all fields must be non-negative"),
+        (EquationInstance(2, 1), {"n": 1.0}, NOT_AN_INTEGER),
+        (SearchBox(3, 4), {"x_max": 3.0}, NOT_AN_INTEGER),
+        (SearchBox(3, 4), {"y_max": 4.0}, NOT_AN_INTEGER),
     ],
     ids=["EquationInstance-p", "EquationInstance-n", "SolutionTriple", "SearchBox",
-         "CatalanInstance"],
+         "CatalanInstance", "EquationInstance-float-n", "SearchBox-float-x_max",
+         "SearchBox-float-y_max"],
 )
 def test_replace_and_make_check_like_the_constructor(record, change, message):
-    with pytest.raises(ValueError) as excinfo:
+    error = TypeError if message == NOT_AN_INTEGER else ValueError
+    with pytest.raises(error) as excinfo:
         record._replace(**change)
     assert str(excinfo.value) == message
     fields = [change.get(name, value) for name, value in zip(record._fields, record)]
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(error) as excinfo:
         type(record)._make(fields)
     assert str(excinfo.value) == message
     assert type(record)._make(record) == record
