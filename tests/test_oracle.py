@@ -156,24 +156,38 @@ def coprime_moduli(p):
     return [m for m in pxpy.oracle._SIEVE_MODULI if m % p]
 
 
+def moduli_built_by_scan(monkeypatch, p):
+    """The moduli a small scan for p builds, in order, under an all-pass sieve.
+
+    An all-pass sieve (period 1, pattern 1, all-ones tile) empties no row, so
+    every row runs the full depth and the scan builds its whole pass.
+    """
+    built = []
+
+    def all_pass(modulus, root_degree, p, width):
+        built.append(modulus)
+        return 1, (1,), (1 << width) - 1
+
+    monkeypatch.setattr(pxpy.oracle, "_row_sieve", all_pass)
+    monkeypatch.setattr(pxpy.oracle, "_NARROW_ROW_BITS", 0)
+    pxpy.oracle._scan_rows(p, 2, 3, 3)
+    return built
+
+
 class TestScanKernel:
     def test_every_table_modulus_is_used(self, monkeypatch):
-        # An all-pass sieve (period 1, pattern 1, all-ones tile) empties no
-        # row, so every row runs the full depth: the scan must build each
-        # table modulus p does not divide, in table order, and only once.
-        built = []
-
-        def all_pass(modulus, root_degree, p, width):
-            built.append(modulus)
-            return 1, (1,), (1 << width) - 1
-
-        monkeypatch.setattr(pxpy.oracle, "_row_sieve", all_pass)
-        monkeypatch.setattr(pxpy.oracle, "_NARROW_ROW_BITS", 0)
+        # The scan must build each table modulus p does not divide, in table
+        # order, and only once.
         for p in (2, 3, 5, 7, 13, 53, 67, 71, 1_000_003):
-            built.clear()
-            pxpy.oracle._scan_rows(p, 2, 3, 3)
+            built = moduli_built_by_scan(monkeypatch, p)
             assert built == coprime_moduli(p), p
             assert len(built) == (16 if p <= 67 else 17), p
+
+    def test_coprime_skip_depends_on_p(self, monkeypatch):
+        assert 53 not in moduli_built_by_scan(monkeypatch, 53)
+        assert 53 in moduli_built_by_scan(monkeypatch, 59)
+        assert 64 not in moduli_built_by_scan(monkeypatch, 2)
+        assert 63 not in moduli_built_by_scan(monkeypatch, 3)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 53, 67, 71, 1_000_003])
     def test_each_row_resumes_the_pass(self, monkeypatch, p):
