@@ -10,10 +10,10 @@ All searches are serial and emit sorted results, so output is deterministic.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
-from .classifier import EquationInstance
-from .errors import InternalInconsistencyError
+from .classifier import EquationInstance, InternalInconsistencyError
 from .oracle import SearchBox, SearchReport, brute_force
 
 __all__ = [
@@ -28,16 +28,17 @@ class CatalanInstance(
 ):
     """The query: does a^x - b^y = 1 hold?
 
-    Equal to any equal tuple, even another record's; no pxpy container
-    mixes record types.
+    Stores ints, refusing others (TypeError); equal to any equal tuple,
+    even another record's; no pxpy container mixes record types.
     """
 
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, x: int, y: int) -> CatalanInstance:
-        if min(a, b, x, y) < 0:
+        fields = index(a), index(b), index(x), index(y)
+        if min(fields) < 0:
             raise ValueError("all fields must be non-negative")
-        return tuple.__new__(cls, (a, b, x, y))
+        return tuple.__new__(cls, fields)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 

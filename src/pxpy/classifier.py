@@ -21,6 +21,7 @@ is a tuple holding the case, the split z = p^e * k, and a reason code with
 its arguments; the prose of a rejection is rendered from `_REASONS` only
 when `rejection_reason` is read. The trace never forms w = z^n, and verify
 settles a wide candidate with one integer root of p^d + 1 and one product.
+InternalInconsistencyError, defined here, reports a result verify refutes.
 
 Every record here is an immutable, hashable tuple of its fields, so it
 equals a plain tuple of those values, and a record of another type holding
@@ -34,11 +35,11 @@ from operator import index
 from typing import NamedTuple
 
 from .arithmetic import eval_lhs, integer_root, is_prime, p_adic_valuation
-from .errors import InternalInconsistencyError
 
 __all__ = [
     "CaseTrace",
     "EquationInstance",
+    "InternalInconsistencyError",
     "SolutionFamily",
     "SolutionTriple",
     "classify",
@@ -60,17 +61,26 @@ _NARROW_BITS = 2048
 _RESIDUE_MODULUS = 616_318_177
 
 
+class InternalInconsistencyError(RuntimeError):
+    """A computation contradicted a fact the code is built on.
+
+    Raised when an internal cross-check fails, e.g. a bounded search "finds"
+    a solution to an equation known to have none. Always indicates an
+    implementation bug, never bad user input; the CLI maps it to exit code 3.
+    """
+
+
 class EquationInstance(NamedTuple("EquationInstance", [("p", int), ("n", int)])):
     """One equation p^x + p^y = z^(2n): a prime base p and an exponent n >= 1.
 
-    Equal to any equal tuple, even another record's, as in
+    Stores ints, refusing others (TypeError); equal to any equal tuple, as in
     EquationInstance(2, 1) == SearchBox(2, 1); no pxpy container mixes them.
     """
 
     __slots__ = ()
 
     def __new__(cls, p: int, n: int) -> EquationInstance:
-        n = index(n)
+        p, n = index(p), index(n)
         if n < 1:
             raise ValueError("n must be >= 1")
         if not is_prime(p):
@@ -88,13 +98,14 @@ class EquationInstance(NamedTuple("EquationInstance", [("p", int), ("n", int)]))
 class SolutionTriple(NamedTuple("SolutionTriple", [("x", int), ("y", int), ("z", int)])):
     """A candidate (x, y, z); certified for (p, n) iff p^x + p^y = z^(2n).
 
-    Triples order by (x, y, z). Equal to any equal tuple, even another
-    record's; no pxpy container mixes record types.
+    Stores ints, refusing others (TypeError); triples order by (x, y, z).
+    Equal to any equal tuple, even another record's; no pxpy container mixes them.
     """
 
     __slots__ = ()
 
     def __new__(cls, x: int, y: int, z: int) -> SolutionTriple:
+        x, y, z = index(x), index(y), index(z)
         if x < 0 or y < 0 or z < 0:
             raise ValueError("x, y, z must be non-negative")
         return tuple.__new__(cls, (x, y, z))

@@ -25,13 +25,13 @@ import sys
 
 from .classifier import (
     EquationInstance,
+    InternalInconsistencyError,
     SolutionTriple,
     classify,
     enumerate_solutions,
     trace_candidate,
     verify,
 )
-from .errors import InternalInconsistencyError
 from .oracle import SearchBox, brute_force, cross_check
 
 SCHEMA_VERSION = "1"

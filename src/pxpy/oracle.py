@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from itertools import starmap
 from operator import index
 from typing import NamedTuple
 
 from .arithmetic import integer_root
-from .classifier import EquationInstance, SolutionTriple, enumerate_solutions, verify
-from .errors import InternalInconsistencyError
+from .classifier import EquationInstance, InternalInconsistencyError, SolutionTriple
+from .classifier import enumerate_solutions, verify
 
 __all__ = [
     "CrossCheckResult",
@@ -50,7 +49,7 @@ _NARROW_ROW_BITS = 1024
 class SearchBox(NamedTuple("SearchBox", [("x_max", int), ("y_max", int)])):
     """The finite search domain {0..x_max} x {0..y_max}.
 
-    Equal to any equal tuple, even another record's, as in
+    Stores ints, refusing others (TypeError); equal to any equal tuple, as in
     SearchBox(2, 1) == EquationInstance(2, 1); no pxpy container mixes them.
     """
 
@@ -192,15 +191,16 @@ def brute_force(
     a_max, b_max = sorted(box)
     found = []
     for a, b, z in _scan_rows(p, 2 * n, a_max, b_max):
-        if not verify(instance, SolutionTriple(a, b, z)):
+        triple = SolutionTriple(a, b, z)
+        if not verify(instance, triple):
             raise InternalInconsistencyError(
                 f"search reported {(a, b, z)}, which fails re-checking"
             )
         if a <= x_max and b <= y_max:
-            found.append((a, b, z))
+            found.append(triple)
         if a != b and b <= x_max and a <= y_max:
-            found.append((b, a, z))
-    solutions = tuple(starmap(SolutionTriple, sorted(found)))
+            found.append(SolutionTriple(b, a, z))
+    solutions = tuple(sorted(found))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return SearchReport(instance, box, solutions, elapsed_ms)
 

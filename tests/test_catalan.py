@@ -5,7 +5,7 @@ import pytest
 import pxpy.catalan
 from pxpy.catalan import CatalanInstance, lemma2_no_solutions, search_catalan
 from pxpy.classifier import SolutionTriple
-from pxpy.errors import InternalInconsistencyError
+from pxpy import InternalInconsistencyError
 from pxpy.oracle import SearchReport
 
 PRIMES_TO_97 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,

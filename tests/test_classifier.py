@@ -26,7 +26,7 @@ from pxpy.classifier import (
     trace_candidate,
     verify,
 )
-from pxpy.errors import InternalInconsistencyError
+from pxpy import InternalInconsistencyError
 
 
 class TestEquationInstance:

@@ -13,7 +13,7 @@ import pxpy.cli as cli
 import pxpy.oracle
 from pxpy.classifier import EquationInstance, classify
 from pxpy.cli import main
-from pxpy.errors import InternalInconsistencyError
+from pxpy import InternalInconsistencyError
 
 
 def run(capsys, *argv):

@@ -101,3 +101,8 @@ def test_cold_cli_import_leaves_out_dataclasses_and_inspect():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_the_one_exception_lives_beside_verify():
+    assert pxpy.InternalInconsistencyError.__module__ == "pxpy.classifier"
+    assert pxpy.InternalInconsistencyError is pxpy.classifier.InternalInconsistencyError

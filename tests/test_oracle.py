@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import pxpy.oracle
 from pxpy.arithmetic import RootResult
 from pxpy.classifier import EquationInstance, SolutionTriple, enumerate_solutions, verify
-from pxpy.errors import InternalInconsistencyError
+from pxpy import InternalInconsistencyError
 from pxpy.oracle import SearchBox, brute_force, cross_check
 
 # Hand-derived from the family tables: the p=2, n=1 solutions with x, y <= 6.
@@ -122,6 +122,29 @@ class TestBruteForce:
         hits = naive_scan(2, 1, box.x_max, box.y_max)
         assert sorted(checked) == sorted({(min(x, y), max(x, y), z) for x, y, z in hits})
         assert [t.as_tuple() for t in report.solutions] == hits
+
+    @pytest.mark.parametrize("box", [SearchBox(20, 20), SearchBox(20, 6), SearchBox(6, 20)])
+    def test_each_reported_triple_is_built_once(self, monkeypatch, box):
+        # The triple verify re-checks is the one reported, and a mirrored
+        # orientation is built once, so no triple is built twice.
+        built, checked = [], []
+
+        def building(*fields):
+            built.append(fields)
+            return SolutionTriple(*fields)
+
+        def recording(instance, triple):
+            checked.append(triple)
+            return verify(instance, triple)
+
+        monkeypatch.setattr(pxpy.oracle, "SolutionTriple", building)
+        monkeypatch.setattr(pxpy.oracle, "verify", recording)
+        report = brute_force(EquationInstance(2, 1), box)
+        assert len(set(built)) == len(built)
+        assert set(built) >= set(report.solutions)
+        rechecked = {id(triple) for triple in checked}
+        in_scan_order = [t for t in report.solutions if t.x <= t.y]
+        assert in_scan_order and all(id(t) in rechecked for t in in_scan_order)
 
 
 def exact_nth_root(m, n):

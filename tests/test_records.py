@@ -1,4 +1,9 @@
-"""The contract every pxpy record keeps: immutable, hashable, checked on construction."""
+"""The contract every pxpy record keeps: immutable, hashable, checked on construction.
+
+Every checked record (EquationInstance, SolutionTriple, SearchBox and
+CatalanInstance) refuses a non-integer field with TypeError and stores a
+plain int for any integer-like one.
+"""
 
 import pytest
 
@@ -104,6 +109,57 @@ class TestSearchReportEquality:
 NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"
 
 
+class Integral:
+    """An integer-like value that is not an int: it only has __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+CHECKED = [
+    ("EquationInstance", EquationInstance, (3, 1)),
+    ("SolutionTriple", SolutionTriple, (3, 0, 3)),
+    ("SearchBox", SearchBox, (3, 4)),
+    ("CatalanInstance", CatalanInstance, (3, 2, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("name, cls, fields", CHECKED, ids=[c[0] for c in CHECKED])
+def test_checked_records_refuse_a_float_in_any_field(name, cls, fields):
+    for i in range(len(fields)):
+        floated = list(fields)
+        floated[i] = float(floated[i])
+        with pytest.raises(TypeError) as excinfo:
+            cls(*floated)
+        assert str(excinfo.value) == NOT_AN_INTEGER
+
+
+@pytest.mark.parametrize("name, cls, fields", CHECKED, ids=[c[0] for c in CHECKED])
+def test_checked_records_store_plain_ints(name, cls, fields):
+    for i, field in enumerate(cls._fields):
+        changed = list(fields)
+        changed[i] = Integral(fields[i])
+        record = cls(*changed)
+        assert [type(value) for value in record] == [int] * len(fields)
+        assert record == fields
+        assert type(cls(*fields)._replace(**{field: Integral(fields[i])})[i]) is int
+
+
+def test_a_numpy_prime_builds_an_instance_every_function_can_use():
+    numpy = pytest.importorskip("numpy")
+    from pxpy.classifier import trace_candidate, verify
+    from pxpy.oracle import brute_force
+
+    instance = EquationInstance(numpy.int64(3), 1)
+    assert type(instance.p) is int
+    assert trace_candidate(instance, SolutionTriple(1, 0, 2)).accepted
+    assert verify(instance, SolutionTriple(1, 0, 2))
+    assert (1, 0, 2) in brute_force(instance, SearchBox(3, 3)).solutions
+
+
 @pytest.mark.parametrize(
     "record, change, message",
     [
@@ -115,10 +171,16 @@ NOT_AN_INTEGER = "'float' object cannot be interpreted as an integer"
         (EquationInstance(2, 1), {"n": 1.0}, NOT_AN_INTEGER),
         (SearchBox(3, 4), {"x_max": 3.0}, NOT_AN_INTEGER),
         (SearchBox(3, 4), {"y_max": 4.0}, NOT_AN_INTEGER),
+        (EquationInstance(2, 1), {"p": 3.0}, NOT_AN_INTEGER),
+        (SolutionTriple(1, 2, 3), {"x": 1.0}, NOT_AN_INTEGER),
+        (SolutionTriple(1, 2, 3), {"z": 3.0}, NOT_AN_INTEGER),
+        (CatalanInstance(3, 2, 2, 3), {"a": 3.0}, NOT_AN_INTEGER),
+        (CatalanInstance(3, 2, 2, 3), {"y": 3.0}, NOT_AN_INTEGER),
     ],
     ids=["EquationInstance-p", "EquationInstance-n", "SolutionTriple", "SearchBox",
          "CatalanInstance", "EquationInstance-float-n", "SearchBox-float-x_max",
-         "SearchBox-float-y_max"],
+         "SearchBox-float-y_max", "EquationInstance-float-p", "SolutionTriple-float-x",
+         "SolutionTriple-float-z", "CatalanInstance-float-a", "CatalanInstance-float-y"],
 )
 def test_replace_and_make_check_like_the_constructor(record, change, message):
     error = TypeError if message == NOT_AN_INTEGER else ValueError
