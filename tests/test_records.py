@@ -9,8 +9,14 @@ import pytest
 
 from pxpy.arithmetic import RootResult
 from pxpy.catalan import CatalanInstance
-from pxpy.classifier import EquationInstance, SolutionFamily, SolutionTriple
-from pxpy.oracle import CrossCheckResult, SearchBox, SearchReport
+from pxpy.classifier import (
+    EquationInstance,
+    SolutionFamily,
+    SolutionTriple,
+    trace_candidate,
+    verify,
+)
+from pxpy.oracle import CrossCheckResult, SearchBox, SearchReport, brute_force
 
 
 def _records():
@@ -150,9 +156,6 @@ def test_checked_records_store_plain_ints(name, cls, fields):
 
 def test_a_numpy_prime_builds_an_instance_every_function_can_use():
     numpy = pytest.importorskip("numpy")
-    from pxpy.classifier import trace_candidate, verify
-    from pxpy.oracle import brute_force
-
     instance = EquationInstance(numpy.int64(3), 1)
     assert type(instance.p) is int
     assert trace_candidate(instance, SolutionTriple(1, 0, 2)).accepted
