@@ -6,12 +6,15 @@ arbitrary precision survives serialization. The --digit-cap bounds every
 integer a command reads or writes, so the interpreter's int-to-str limit is
 lifted only while a command runs and then restored.
 
-main builds its argparse parser once per process and reuses it; each
-command parses and checks all of its input before it computes anything, and
-nothing a command computes is kept for the next. Exit codes: 0 success /
-certified / consistent; 1 well-formed negative result; 2 invalid input or
-digit cap exceeded, always refused before any computation; 3 internal error
-(any other failure is a library bug); 141 the reader closed stdout (128 +
+main builds its argparse parser once per process and reuses it. A command's
+arguments are parsed once, by its subcommand's parser; the top-level parser
+sees only an argv that names no command, asks for top-level help or leaves
+arguments over, and answers it as argparse always has. Each command parses
+and checks all of its input before it computes anything, and nothing a
+command computes is kept for the next. Exit codes: 0 success / certified /
+consistent; 1 well-formed negative result; 2 invalid input or digit cap
+exceeded, always refused before any computation; 3 internal error (any
+exception the library raises is a bug); 141 the reader closed stdout (128 +
 SIGPIPE, as a shell reports it).
 """
 
@@ -340,7 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    # A named command's arguments go straight to its own parser, so they are
+    # parsed once. Any other argv, or one that leaves arguments over, goes
+    # through the whole parser, whose help, usage and errors are argparse's.
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = commands.get(argv[0]) if argv else None
+    args, extras = command.parse_known_args(argv[1:]) if command else (None, None)
+    if args is None or extras:
+        args = parser.parse_args(argv)
     str_limit = sys.get_int_max_str_digits()
     try:
         cap = _parse_natural(args.digit_cap, "--digit-cap", 0)
@@ -357,6 +369,9 @@ def main(argv: list[str] | None = None) -> int:
         return 141
     except (InternalInconsistencyError, ValueError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other library exception is a bug too
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
     finally:
         sys.set_int_max_str_digits(str_limit)

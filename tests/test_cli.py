@@ -509,6 +509,24 @@ class TestProtocol:
         assert code == 3 and out == ""
         assert "forced for testing" in err
 
+    @pytest.mark.parametrize("error", [TypeError, AttributeError, ZeroDivisionError])
+    @pytest.mark.parametrize("target, argv", [
+        ("verify", ("verify", "--p", "2", "--n", "1", "-x", "3", "-y", "0", "-z", "3")),
+        ("brute_force", ("search", "--p", "2", "--n", "1", "--x-max", "3", "--y-max", "3")),
+        ("classify", ("classify", "--p", "2", "--n", "1")),
+    ], ids=["verify", "brute_force", "classify"])
+    def test_any_library_exception_exits_3(self, capsys, monkeypatch, error, target, argv):
+        # Not exit 1, which a traceback would give and which means a
+        # well-formed negative result.
+        def broken(*args):
+            raise error("forced for testing")
+
+        monkeypatch.setattr(cli, target, broken)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith("internal error:") and error.__name__ in err
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -568,6 +586,87 @@ class TestParserReuse:
             assert first[0] == 0 and first[2] == ""
             helps.append(first[1])
         assert helps[0] != helps[1]
+
+
+_COMMANDS = ("classify", "enumerate", "verify", "trace", "search", "crosscheck", "summary")
+
+# argv that argparse itself answers, with help (exit 0) or an error (exit 2).
+_ARGPARSE_EXITS = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("--he",),
+    ("frobnicate",),
+    ("Classify",),
+    ("classify", "--p", "2"),
+    ("classify", "-h"),
+    ("enumerate", "-h", "--p", "2"),
+    ("enumerate", "--p", "2", "--n", "1", "--max-exponent", "6", "--format", "xml"),
+    ("classify", "--", "--p", "2"),
+    ("--digit-cap", "5", "classify", "--p", "2", "--n", "1"),
+    ("classify", "--p", "2", "--n", "1", "extra"),
+    ("trace", *_TRIPLE, "-q"),
+    ("summary", "x"),
+    ("summary", "--digit-cap"),
+]
+
+# argv that argparse accepts, spelled as a command line may spell them.
+_WELL_FORMED = [
+    ("classify", "--p=2", "--n=1"),
+    ("classify", "--p", "2", "--n", "1", "--p", "3"),
+    ("enumerate", "--p", "2", "--n", "1", "--max-e", "6"),
+    ("verify", "--p", "3", "--n", "1", "-x3", "-y2", "-z6"),
+    ("trace", *_TRIPLE),
+    ("search", "--p", "2", "--n", "1", "--x", "4", "--y-max", "4"),
+    ("crosscheck",),
+    ("crosscheck", "--x-max", "4", "--y-max", "4", "--p", "2,3"),
+    ("summary", "--digit-cap=0"),
+]
+
+
+class TestArgvRouting:
+    """main parses a named command with its own parser, and answers as the whole parser would."""
+
+    @pytest.mark.parametrize("argv", _ARGPARSE_EXITS, ids=" ".join)
+    def test_argparse_exits_as_the_whole_parser_does(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(list(argv))
+        captured = capsys.readouterr()
+        assert outcome(capsys, argv) == (exc.value.code, captured.out, captured.err)
+
+    @pytest.mark.parametrize("argv", _WELL_FORMED, ids=" ".join)
+    def test_handler_gets_what_the_whole_parser_gives(self, monkeypatch, argv):
+        handled = []
+        for name in _COMMANDS:
+            monkeypatch.setattr(cli, f"cmd_{name}", lambda args, cap: handled.append(vars(args)))
+        parser = cli.build_parser.__wrapped__()  # holds the recording handlers
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        main(list(argv))
+        whole = vars(parser.parse_args(list(argv)))
+        assert whole.pop("command") == argv[0]
+        (args,) = handled
+        args.pop("command", None)  # nothing reads it, so main may leave it out
+        assert args == whole
+
+    def test_a_named_command_skips_the_top_level_parse(self, capsys, monkeypatch):
+        parser = cli.build_parser.__wrapped__()
+        calls = []
+
+        def spy(method):
+            def called(*args, **kwargs):
+                calls.append(method.__name__)
+                return method(*args, **kwargs)
+            return called
+
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(parser, name, spy(getattr(parser, name)))
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        for argv in _WELL_FORMED:
+            assert outcome(capsys, argv)[0] == 0, argv
+        assert calls == []
+        # Arguments left over go to the whole parser, which reports them.
+        assert outcome(capsys, ("summary", "x"))[0] == 2
+        assert "parse_args" in calls
 
 
 def test_closed_pipe_exits_141():

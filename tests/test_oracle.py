@@ -1,6 +1,7 @@
 """Tests for the brute-force search and the classifier cross-check."""
 
 import tracemalloc
+import types
 from math import isqrt
 
 import pytest
@@ -328,6 +329,31 @@ class TestScanKernel:
                 patch.setattr(pxpy.oracle, "_NARROW_ROW_BITS", narrow_bits)
                 report = brute_force(EquationInstance(p, n), SearchBox(x_max, y_max))
             assert [t.as_tuple() for t in report.solutions] == expected, narrow_bits
+
+
+# What the search must never consult: the classification and its families.
+_FAMILY_NAMES = {"classify", "enumerate_solutions", "instantiate", "SolutionFamily", "trace_candidate"}
+
+
+def code_names(code):
+    """The co_names of a code object and of every code object nested in it."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= code_names(const)
+    return names
+
+
+@pytest.mark.parametrize("function", [
+    brute_force,
+    pxpy.oracle._scan_rows,
+    pxpy.oracle._row_sieve,
+    pxpy.oracle._sieve_patterns.__wrapped__,
+], ids=lambda f: f.__name__)
+def test_the_search_never_names_the_families(function):
+    # brute_force's independence from the classification is what makes
+    # cross_check, which compares against the families, a certificate.
+    assert not code_names(function.__code__) & _FAMILY_NAMES
 
 
 class TestCrossCheck:
