@@ -118,20 +118,23 @@ def _box(args: argparse.Namespace, cap: int) -> SearchBox:
     )
 
 
+def _decimals(record) -> dict:
+    """A record's fields as {name: decimal string}, in field order."""
+    # A loop: a comprehension is a call of its own before Python 3.12, about 0.1 us more a record.
+    fields = {}
+    for field, value in zip(record._fields, record):
+        fields[field] = str(value)
+    return fields
+
+
 def _emit(command: str, payload, instance: EquationInstance | None = None) -> None:
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "instance": None
-        if instance is None
-        else {"p": str(instance.p), "n": str(instance.n)},
+        "instance": None if instance is None else _decimals(instance),
         "payload": payload,
     }
     print(json.dumps(record))
-
-
-def _triple_payload(triple: SolutionTriple) -> dict:
-    return {"x": str(triple.x), "y": str(triple.y), "z": str(triple.z)}
 
 
 def cmd_classify(args: argparse.Namespace, cap: int) -> int:
@@ -156,7 +159,7 @@ def cmd_enumerate(args: argparse.Namespace, cap: int) -> int:
             print(f"{triple.x}\t{triple.y}\t{triple.z}")
     else:
         for triple in triples:
-            _emit("enumerate", _triple_payload(triple), instance)
+            _emit("enumerate", _decimals(triple), instance)
     return 0
 
 
@@ -173,7 +176,7 @@ def cmd_verify(args: argparse.Namespace, cap: int) -> int:
     instance = _instance(args, cap)
     triple = _parse_triple(args, instance, cap)
     certified = verify(instance, triple)
-    payload = {**_triple_payload(triple), "certified": certified}
+    payload = {**_decimals(triple), "certified": certified}
     _emit("verify", payload, instance)
     return 0 if certified else 1
 
@@ -183,7 +186,7 @@ def cmd_trace(args: argparse.Namespace, cap: int) -> int:
     triple = _parse_triple(args, instance, cap)
     trace = trace_candidate(instance, triple)
     payload = {
-        **_triple_payload(triple),
+        **_decimals(triple),
         "case": trace.case_label,
         "e": None if trace.e is None else str(trace.e),
         "k": None if trace.k is None else str(trace.k),
@@ -198,18 +201,14 @@ def cmd_trace(args: argparse.Namespace, cap: int) -> int:
     return 0 if trace.accepted else 1
 
 
-def _box_payload(box: SearchBox) -> dict:
-    return {"x_max": str(box.x_max), "y_max": str(box.y_max)}
-
-
 def cmd_search(args: argparse.Namespace, cap: int) -> int:
     instance = _instance(args, cap)
     box = _box(args, cap)
     _check_power(cap, instance.p, max(box.x_max, box.y_max) + 1, "p^x + p^y")
     report = brute_force(instance, box)
     payload = {
-        "box": _box_payload(box),
-        "solutions": [_triple_payload(t) for t in report.solutions],
+        "box": _decimals(box),
+        "solutions": [_decimals(t) for t in report.solutions],
         "pairs_checked": str(report.pairs_checked),
         "elapsed_ms": report.elapsed_ms,
     }
@@ -230,15 +229,14 @@ def cmd_crosscheck(args: argparse.Namespace, cap: int) -> int:
         all_consistent = all_consistent and outcome.consistent
         results.append(
             {
-                "p": str(instance.p),
-                "n": str(instance.n),
+                **_decimals(instance),
                 "verdict": outcome.verdict,
-                "only_brute_force": [_triple_payload(t) for t in outcome.only_brute_force],
-                "only_families": [_triple_payload(t) for t in outcome.only_families],
+                "only_brute_force": [_decimals(t) for t in outcome.only_brute_force],
+                "only_families": [_decimals(t) for t in outcome.only_families],
             }
         )
     payload = {
-        "box": _box_payload(box),
+        "box": _decimals(box),
         "all_consistent": all_consistent,
         "results": results,
     }
@@ -262,15 +260,6 @@ def cmd_summary(args: argparse.Namespace, cap: int) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--digit-cap",
-        default=str(DEFAULT_DIGIT_CAP),
-        help="refuse computations beyond this many decimal digits; 0 disables"
-        f" (default {DEFAULT_DIGIT_CAP})",
-    )
-
-
 def _add_instance(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", required=True, metavar="P", help="prime base")
     parser.add_argument(
@@ -286,7 +275,10 @@ def _add_triple(parser: argparse.ArgumentParser) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first call; callers must not change it."""
+    """The one parser of the process, built on the first call; callers must not change it.
+
+    Its commands attribute maps each subcommand's name to that subcommand's parser.
+    """
     parser = argparse.ArgumentParser(
         prog="pxpy",
         description="Exact solver and verifier for p^x + p^y = z^(2n) "
@@ -296,33 +288,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="emit the symbolic solution families")
     _add_instance(sp)
-    _add_common(sp)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("enumerate", help="list all solutions with x, y <= bound")
     _add_instance(sp)
     sp.add_argument("--max-exponent", required=True, metavar="B")
     sp.add_argument("--format", choices=("json-lines", "tsv"), default="json-lines")
-    _add_common(sp)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("verify", help="check one (x, y, z) candidate")
     _add_instance(sp)
     _add_triple(sp)
-    _add_common(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("trace", help="explain a candidate's verdict case by case")
     _add_instance(sp)
     _add_triple(sp)
-    _add_common(sp)
     sp.set_defaults(func=cmd_trace)
 
     sp = sub.add_parser("search", help="brute-force a bounded exponent box")
     _add_instance(sp)
     sp.add_argument("--x-max", required=True, metavar="XMAX")
     sp.add_argument("--y-max", required=True, metavar="YMAX")
-    _add_common(sp)
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser(
@@ -332,13 +319,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", default=DEFAULT_CROSSCHECK_NS, metavar="N[,N...]")
     sp.add_argument("--x-max", default=DEFAULT_CROSSCHECK_BOUND, metavar="XMAX")
     sp.add_argument("--y-max", default=DEFAULT_CROSSCHECK_BOUND, metavar="YMAX")
-    _add_common(sp)
     sp.set_defaults(func=cmd_crosscheck)
 
     sp = sub.add_parser("summary", help="print the solvable/unsolvable regime table")
-    _add_common(sp)
     sp.set_defaults(func=cmd_summary)
 
+    # Declared after each command's own options, so it comes last in every
+    # usage line and help screen.
+    for sp in sub.choices.values():
+        sp.add_argument(
+            "--digit-cap",
+            default=str(DEFAULT_DIGIT_CAP),
+            help="refuse computations beyond this many decimal digits; 0 disables"
+            f" (default {DEFAULT_DIGIT_CAP})",
+        )
+    parser.commands = sub.choices
     return parser
 
 
@@ -348,8 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     # A named command's arguments go straight to its own parser, so they are
     # parsed once. Any other argv, or one that leaves arguments over, goes
     # through the whole parser, whose help, usage and errors are argparse's.
-    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    command = commands.get(argv[0]) if argv else None
+    command = parser.commands.get(argv[0]) if argv else None
     args, extras = command.parse_known_args(argv[1:]) if command else (None, None)
     if args is None or extras:
         args = parser.parse_args(argv)
@@ -365,7 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader closed stdout; point it at devnull so the interpreter's
         # final flush stays quiet, and exit as a shell reports SIGPIPE.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except (InternalInconsistencyError, ValueError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 """Tests for the command-line surface: records, formats, exit codes."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +16,7 @@ import pxpy.oracle
 from pxpy.classifier import EquationInstance, classify
 from pxpy.cli import main
 from pxpy import InternalInconsistencyError
+from test_oracle import code_names
 
 
 def run(capsys, *argv):
@@ -623,6 +626,21 @@ _WELL_FORMED = [
     ("summary", "--digit-cap=0"),
 ]
 
+# sha256 of each _WELL_FORMED command's stdout, elapsed_ms masked, as an
+# earlier release printed it; JSON output does not depend on the argparse
+# version, so these hold on every supported Python.
+_WELL_FORMED_STDOUT = dict(zip(_WELL_FORMED, [
+    "74138322c4f98a6a1aba4e3c37b5889ba59b015eb064637c6cd702e17356d6bc",
+    "082bc351d93fbc5b882745491033206b7bdb782d1ec4fccfcb03f2f46ddefe73",
+    "fc1308ae1c43a6567911b4226bab44877d8f9455e9e319b36da3ab1e78f2c95c",
+    "3c50d905e408733af5bbfcdaf7755fef0cf62f04617d82ba909fb1eafafaa2d7",
+    "6ce7e3e37523789771fa47940cb7e3891ce84680527952f9c2c4b950ad188410",
+    "db3285acc2f0bf812e16fb7366beafc6c9ad3fca79a516cbcf58547f1067e9cd",
+    "f51b84dbb37a319d92254cf00abb6dda630d3e97b79894197edd38d12f7f73ab",
+    "8d2d7c3b7e506772be79111c295bb3aa993968e828f9c8f0bbc1316f89db3e57",
+    "7e9bc7bb73374651442b32cf70d875a1ca11ad6abd80514291907059e37732cc",
+]))
+
 
 class TestArgvRouting:
     """main parses a named command with its own parser, and answers as the whole parser would."""
@@ -668,6 +686,34 @@ class TestArgvRouting:
         assert outcome(capsys, ("summary", "x"))[0] == 2
         assert "parse_args" in calls
 
+    # The tests above compare main with build_parser(), so these two pin what
+    # a user sees apart from it.
+    @pytest.mark.parametrize("argv", _WELL_FORMED, ids=" ".join)
+    def test_well_formed_output_is_pinned(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        out = re.sub(r'"elapsed_ms": [^,}]+', '"elapsed_ms": null', out)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest, err) == (0, _WELL_FORMED_STDOUT[argv], "")
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_digit_cap_is_the_last_option(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "200")
+        code, out, _ = outcome(capsys, (command, "--help"))
+        usage = " ".join(out.split("\n\n")[0].split())
+        options = [line.split()[:2] for line in out.splitlines() if line.startswith("  -")]
+        assert code == 0
+        assert usage.endswith(" [--digit-cap DIGIT_CAP]")
+        assert options[-1] == ["--digit-cap", "DIGIT_CAP"]
+
+
+def test_no_argparse_internals():
+    # argparse's underscored names may change in any Python release; the
+    # parser build_parser returns carries what main needs.
+    internals = {"_actions", "_SubParsersAction", "_name_parser_map", "_subparsers",
+                 "_option_string_actions"}
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert not code_names(compile(source, cli.__file__, "exec")) & internals
+
 
 def test_closed_pipe_exits_141():
     # The reader leaves after one line, as `pxpy enumerate ... | head -1`
@@ -685,3 +731,33 @@ def test_closed_pipe_exits_141():
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_closed_pipe_closes_what_it_opens(monkeypatch):
+    # main points a closed stdout at devnull; the devnull descriptor it opens
+    # for that must not outlive the call. A leaked one would be the lowest
+    # free descriptor, so the next os.open would return a higher one.
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def fileno(self):
+            return self.fd
+
+        def write(self, text):
+            raise BrokenPipeError
+
+    def lowest_free():
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        return fd
+
+    stand_in = os.open(os.devnull, os.O_WRONLY)  # never fd 1: dup2 targets this
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(stand_in))
+        before = lowest_free()
+        for _ in range(3):
+            assert main(["enumerate", "--p", "2", "--n", "1", "--max-exponent", "30"]) == 141
+            assert lowest_free() == before
+    finally:
+        os.close(stand_in)
