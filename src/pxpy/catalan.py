@@ -5,7 +5,7 @@ a, b, x, y > 1 has exactly one solution: 3^2 - 2^3 = 1. The classifier leans
 on that fact twice, so this module re-derives it by bounded search, keeping
 the repository from resting on an unchecked citation.
 
-All searches are serial and emit sorted results, so output is deterministic.
+All searches are deterministic and emit sorted results.
 """
 
 from __future__ import annotations
@@ -81,6 +81,6 @@ def lemma2_no_solutions(p: int, x_max: int) -> SearchReport:
     if report.solutions:
         raise InternalInconsistencyError(
             f"{p}^x + 1 = z^2 with prime {p} > 3 must have no solutions; "
-            f"search produced {[t.as_tuple() for t in report.solutions]}"
+            f"search produced {[tuple(t) for t in report.solutions]}"
         )
     return report

@@ -228,9 +228,6 @@ class CaseTrace(NamedTuple):
         return "accepted" if self.reason_code is None else "rejected"
 
 
-_PRECASE_Z_ZERO = "Pre-case (z = 0)"
-
-
 def classify(instance: EquationInstance) -> tuple[SolutionFamily, ...]:
     """The complete solution set of p^x + p^y = z^(2n), as families.
 
@@ -263,7 +260,7 @@ def instantiate(family: SolutionFamily, s: int) -> SolutionTriple:
     triple = SolutionTriple(2 * s + x_offset, 2 * s + y_offset, scale * p**exponent)
     if not verify(instance, triple):
         raise InternalInconsistencyError(
-            f"family {family} at s={s} produced {triple.as_tuple()}, which does "
+            f"family {family} at s={s} produced {tuple(triple)}, which does "
             f"not satisfy {p}^x + {p}^y = z^{2 * n}"
         )
     return triple
@@ -360,32 +357,21 @@ def trace_candidate(instance: EquationInstance, triple: SolutionTriple) -> CaseT
     p, n = instance
     x, y, z = triple
     if z == 0:
-        return CaseTrace(_PRECASE_Z_ZERO, None, None, "z_zero", (p, 2 * n))
+        return CaseTrace("Pre-case (z = 0)", None, None, "z_zero", (p, 2 * n))
     if n == 1:
         return _trace_square(p, x, y, z, 1)
 
+    # The case that rejects an n > 1 candidate depends on p alone.
+    label = "n>1 Case 1" if p == 2 else "n>1 Case 2.1" if p == 3 else "n>1 Case 2.2"
     if z.bit_length() * 2 * n > _NARROW_BITS and _widths_disagree(p, max(x, y), z, 2 * n):
-        return CaseTrace(_ngt1_label(p), None, None, "ngt1_widths", (p, 2 * n, n))
+        return CaseTrace(label, None, None, "ngt1_widths", (p, 2 * n, n))
     # (x, y, z) solves p^x + p^y = z^(2n) iff (x, y, w) with w = z^n solves
     # the square equation, so reduce to it. Only its Case 1 can accept: Case
     # 1.1 (w = 3*2^s) and its p = 3 analogue (w = 2*3^s) are no n-th powers.
     inner = _trace_square(p, x, y, z, n)
     if inner.accepted:
         return CaseTrace("n>1 Case 1.2")
-    return CaseTrace(_ngt1_label(p), None, None, "ngt1_square", (n, inner))
-
-
-def _ngt1_label(p: int) -> str:
-    """The case that rejects an n > 1 candidate: n>1 Case 1, 2.1 or 2.2 by p."""
-    if p == 2:
-        return "n>1 Case 1"
-    return "n>1 Case 2.1" if p == 3 else "n>1 Case 2.2"
-
-
-# Sub-case -> (its label with x < y, its label with x > y, which is Case 3).
-_SUBCASE_LABELS = {
-    sub: (f"Case {sub}", f"Case 3({sub})") for sub in ("2.1", "2.2", "2.3", "2.4", "2.5")
-}
+    return CaseTrace(label, None, None, "ngt1_square", (n, inner))
 
 
 def _trace_square(p: int, x: int, y: int, z: int, n: int) -> CaseTrace:
@@ -420,7 +406,7 @@ def _trace_square(p: int, x: int, y: int, z: int, n: int) -> CaseTrace:
         sub = "2.3" if d == 1 else "2.4"
     else:
         sub = "2.5"
-    label = _SUBCASE_LABELS[sub][swapped]
+    label = f"Case 3({sub})" if swapped else f"Case {sub}"
 
     e, k = p_adic_valuation(z, p)
     if n > 1:

@@ -1,5 +1,6 @@
 """Tests for the classification engine: families, verification, tracing."""
 
+import hashlib
 import math
 import sys
 import time
@@ -281,7 +282,7 @@ def naive_valuation(m, p):
     return e, m
 
 
-def _guided_candidates(p, n):
+def _wide_candidates(p, n):
     """Wide candidates around every shape: members, each exponent and z
     moved by +-1 and +-2, both orientations, and z = p^(lo//2) * k for
     small k, some divisible by p."""
@@ -429,7 +430,7 @@ class TestVerifyAgainstNaive:
     def test_against_the_equation_and_a_naive_valuation(self, p, n):
         inst = EquationInstance(p, n)
         members = 0
-        for x, y, z in _guided_candidates(p, n):
+        for x, y, z in _wide_candidates(p, n):
             assert z.bit_length() > _NARROW_BITS
             triple = SolutionTriple(x, y, z)
             expected = naive_verify(p, n, x, y, z)
@@ -442,7 +443,7 @@ class TestVerifyAgainstNaive:
         # wide members are among the candidates wherever the instance has any
         assert (members > 0) == bool(classify(inst))
 
-    def test_guided_split_equals_the_generic_valuation(self):
+    def test_trace_valuation_equals_the_naive_one(self):
         # The same (e, k) whether the predicted exponent is below, at or
         # above v_p(z), and whether or not p^guess divides z.
         cases = [
@@ -455,7 +456,7 @@ class TestVerifyAgainstNaive:
             t = trace_candidate(EquationInstance(p, n), SolutionTriple(lo, lo + 1, z))
             assert (t.e, t.k) == naive_valuation(z, p), (z % 1000, lo)
 
-    def test_guided_split_forms_no_power_wider_than_z(self):
+    def test_trace_valuation_forms_no_power_wider_than_z(self):
         # The predicted exponent 10^6 is far above v_3(z) = 2000: p^guess
         # would be 1.58M bits, against z's 3170, and is never formed.
         inst = EquationInstance(3, 1)
@@ -480,7 +481,7 @@ class TestVerifyAgainstNaive:
         monkeypatch.setattr(pxpy.arithmetic, "divmod", recording_divmod, raising=False)
         return divisor_bits
 
-    def test_guided_split_skips_a_power_half_again_as_wide_as_z(self, monkeypatch):
+    def test_trace_valuation_divides_by_no_power_wider_than_z(self, monkeypatch):
         # The exponents predict v_3(z) = 150000 for z = 3^100000, and 3^150000
         # would be about 238k bits against z's 158k: the valuation divides z
         # by no power of 3 wider than z.
@@ -529,8 +530,8 @@ class TestVerifyAgainstNaive:
     @pytest.mark.parametrize("where", ["near z", "half of z"])
     def test_crafted_shapes_at_the_digit_cap(self, power_of_3, where):
         # z = 3^j * R with R prime to 3 and z at the CLI's default digit cap
-        # (10^5 digits). min(x, y) // 2 = g puts p^g about as wide as z, or
-        # half as wide: the guided step must fail fast and fall back.
+        # (10^5 digits). min(x, y) // 2 = g predicts p^g about as wide as z,
+        # or half as wide: the valuation must settle z fast all the same.
         r = 10**99_990 + 1  # 10 = 1 mod 3, so R = 2 mod 3
         z = 3**power_of_3 * r
         g = int(z.bit_length() / math.log2(3)) - 1
@@ -710,8 +711,8 @@ class TestTraceCandidate:
 
     def test_ngt1_wide_rejection_forms_no_power(self):
         # Inside the bit-length window, a rejection is traced from z's bit
-        # length and split alone: Case 1 for p = 2, and the guided split of
-        # a 2.4k-bit z for p = 3 (Case 2.3 and its mirror reach k2_is_4).
+        # length and split alone: Case 1 for p = 2, and the p-adic valuation
+        # of a 2.4k-bit z for p = 3 (Case 2.3 and its mirror reach k2_is_4).
         j, e = 3000, 1500
         for p, x, y, z, code in (
             (2, 6 * j - 1, 6 * j - 1, (1 << j) + 1, "equal_wrong_root"),
@@ -853,6 +854,20 @@ _GOLDEN_REASONS = [
 ]
 
 
+# Every case the trace can name: the pre-case, Case 1, the five sub-cases of
+# Case 2 and their Case 3 mirrors, and the four n > 1 cases.
+_CASE_LABELS = {
+    "Pre-case (z = 0)",
+    "Case 1",
+    "Case 2.1", "Case 2.2", "Case 2.3", "Case 2.4", "Case 2.5",
+    "Case 3(2.1)", "Case 3(2.2)", "Case 3(2.3)", "Case 3(2.4)", "Case 3(2.5)",
+    "n>1 Case 1",
+    "n>1 Case 1.2",
+    "n>1 Case 2.1",
+    "n>1 Case 2.2",
+}
+
+
 class TestReasonCodes:
     @pytest.mark.parametrize(
         "code, p, n, triple, label, reason",
@@ -869,7 +884,9 @@ class TestReasonCodes:
         assert sorted(row[0] for row in _GOLDEN_REASONS) == sorted(_REASONS)
 
     def test_every_code_is_reached_and_renders_fully(self):
-        seen = set()
+        # Every trace on the grid, reason prose included, is pinned by one
+        # sha256, so a relabelled case or a reworded reason shows here.
+        seen, labels, digest = set(), set(), hashlib.sha256()
         for p in (2, 3, 5, 7):
             for n in (1, 2):
                 inst = EquationInstance(p, n)
@@ -878,8 +895,15 @@ class TestReasonCodes:
                         for z in range(65):
                             trace = trace_candidate(inst, SolutionTriple(x, y, z))
                             seen.add(trace.reason_code)
+                            labels.add(trace.case_label)
                             if trace.reason_code is not None:
                                 assert "{" not in trace.rejection_reason
+                            line = repr((tuple(trace), trace.rejection_reason))
+                            digest.update(line.encode() + b"\n")
+        assert labels == _CASE_LABELS
+        assert digest.hexdigest() == (
+            "558185c70953336241ea4e6cbe04d2ffaf1685f48f0b6ebfb6bef985ed6e5096"
+        )
         wide_miss = trace_candidate(EquationInstance(2, 2), SolutionTriple(0, 0, 1 << 2000))
         assert "{" not in wide_miss.rejection_reason
         seen.add(wide_miss.reason_code)
