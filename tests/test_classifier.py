@@ -854,20 +854,6 @@ _GOLDEN_REASONS = [
 ]
 
 
-# Every case the trace can name: the pre-case, Case 1, the five sub-cases of
-# Case 2 and their Case 3 mirrors, and the four n > 1 cases.
-_CASE_LABELS = {
-    "Pre-case (z = 0)",
-    "Case 1",
-    "Case 2.1", "Case 2.2", "Case 2.3", "Case 2.4", "Case 2.5",
-    "Case 3(2.1)", "Case 3(2.2)", "Case 3(2.3)", "Case 3(2.4)", "Case 3(2.5)",
-    "n>1 Case 1",
-    "n>1 Case 1.2",
-    "n>1 Case 2.1",
-    "n>1 Case 2.2",
-}
-
-
 class TestReasonCodes:
     @pytest.mark.parametrize(
         "code, p, n, triple, label, reason",
@@ -900,7 +886,15 @@ class TestReasonCodes:
                                 assert "{" not in trace.rejection_reason
                             line = repr((tuple(trace), trace.rejection_reason))
                             digest.update(line.encode() + b"\n")
-        assert labels == _CASE_LABELS
+        # every case the trace can name: the pre-case, Case 1, the five
+        # sub-cases of Case 2 and their Case 3 mirrors, the four n > 1 cases
+        assert labels == {
+            "Pre-case (z = 0)",
+            "Case 1",
+            "Case 2.1", "Case 2.2", "Case 2.3", "Case 2.4", "Case 2.5",
+            "Case 3(2.1)", "Case 3(2.2)", "Case 3(2.3)", "Case 3(2.4)", "Case 3(2.5)",
+            "n>1 Case 1", "n>1 Case 1.2", "n>1 Case 2.1", "n>1 Case 2.2",
+        }
         assert digest.hexdigest() == (
             "558185c70953336241ea4e6cbe04d2ffaf1685f48f0b6ebfb6bef985ed6e5096"
         )
