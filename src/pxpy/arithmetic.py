@@ -187,10 +187,9 @@ def is_prime(m: int) -> bool:
 def eval_lhs(p: int, x: int, y: int) -> int:
     """p^x + p^y, computed exactly.
 
-    For p = 2 the powers are shifts, (1 << x) + (1 << y). Any other p is
-    formed as p^lo * (p^(hi - lo) + 1) with lo <= hi, the same integer at
-    about the cost of p^hi alone rather than of p^hi plus p^lo. Only verify
-    calls this; the oracle's scan forms p^x + p^y unfactored on purpose.
+    For p = 2 the powers are shifts, (1 << x) + (1 << y); any other p is
+    summed as written. Only verify calls this; the oracle's scan forms its
+    sums itself, so that it stays independent of verify.
 
     Raises ValueError if p < 2 or either exponent is negative.
     """
@@ -200,5 +199,4 @@ def eval_lhs(p: int, x: int, y: int) -> int:
         raise ValueError("exponents must be non-negative")
     if p == 2:
         return (1 << x) + (1 << y)
-    lo, hi = (x, y) if x <= y else (y, x)
-    return p**lo * (p ** (hi - lo) + 1)
+    return p**x + p**y

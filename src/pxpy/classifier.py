@@ -52,8 +52,9 @@ __all__ = [
 # Width in bits up to which an operand counts as short. It bounds verify's
 # direct comparison (at 2048 bits within 1.5x of its residue test), the
 # width of the p^d + 1 it roots (past it, the odd part of n would need a
-# wide Newton step, and forming both sides is cheaper), and the trace's
-# n > 1 width test.
+# wide Newton step, and forming both sides is cheaper), the trace's n > 1
+# width test, and the ints that CaseTrace.rejection_reason writes in hex
+# once the int-to-str limit is passed.
 _NARROW_BITS = 2048
 # The prime (2^37 - 1)/223, modulo which 2 has order 37: verify compares
 # wider candidates modulo it first. Below 2^30 it is one CPython digit, so a
@@ -297,9 +298,8 @@ def verify(instance: EquationInstance, triple: SolutionTriple) -> bool:
     (lo, p^d + 1). So the equation holds iff 2n divides L, c = k^(2n) and
     z = p^(L/2n) * k: one root of c, at most 2048 bits, and one product (a
     shift for p = 2), no wider than z as the window has passed. When p^d
-    is wider than 2048 bits, both sides are formed instead: eval_lhs shifts
-    for p = 2 and factors p^lo * (p^d + 1) otherwise. The answer is exact
-    at every size.
+    is wider than 2048 bits, both sides are formed instead, the left one by
+    eval_lhs as p^x + p^y. The answer is exact at every size.
     """
     p, n = instance
     x, y, z = triple

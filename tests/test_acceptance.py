@@ -83,7 +83,7 @@ def test_criterion_4_no_solutions_large_primes():
     for p in PRIMES_5_TO_97:
         found = brute_force(EquationInstance(p, 1), box).solutions
         if found:
-            failures.append((p, [t.as_tuple() for t in found]))
+            failures.append((p, list(found)))
     report(4, "no solutions for any prime 5 <= p <= 97 with n=1 on the 24x24 box",
            failures, started)
 
@@ -97,14 +97,13 @@ def test_criterion_5_higher_even_powers():
         for s in range(0, box.x_max // 2 + 1):
             if (s + 1) % n == 0 and 2 * s + 1 <= box.x_max:
                 expected.append((2 * s + 1, 2 * s + 1, 2 ** ((s + 1) // n)))
-        found = [t.as_tuple()
-                 for t in brute_force(EquationInstance(2, n), box).solutions]
+        found = list(brute_force(EquationInstance(2, n), box).solutions)
         if found != expected:
             failures.append(("p=2", n, found, expected))
         for p in (3, 5, 7):
             stray = brute_force(EquationInstance(p, n), box).solutions
             if stray:
-                failures.append((p, n, [t.as_tuple() for t in stray]))
+                failures.append((p, n, list(stray)))
     report(5, "for n in {2,3,4}: p=2 solves exactly at (2s+1, 2s+1, 2^((s+1)/n)) "
               "with n | s+1; p in {3,5,7} has none (16x16 box)",
            failures, started)

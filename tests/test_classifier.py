@@ -168,7 +168,7 @@ class TestFamilyTable:
     def test_classify_and_enumerate_match_the_table(self, p, n):
         inst = EquationInstance(p, n)
         assert [str(f) for f in classify(inst)] == expected_family_texts(p, n)
-        assert [t.as_tuple() for t in enumerate_solutions(inst, 40, 40)] == (
+        assert enumerate_solutions(inst, 40, 40) == (
             expected_solutions(p, n, 40, 40)
         )
 
@@ -376,25 +376,35 @@ class TestVerifyAgainstNaive:
         assert len(exact_steps) == 2
 
     @pytest.mark.parametrize(
-        "triple, label, code",
+        "triple, p, label, code",
         [
             # d = 2072, so p^d is wider than 2048 bits: both sides are formed.
-            ((1, 2073, 2**1037), "Case 2.2", "valuation_gate"),
+            ((1, 2073, 2**1037), 2, "Case 2.2", "valuation_gate"),
             # x = y: L = 2101 is odd, so the split rejects without a quotient.
-            ((2100, 2100, 2**1069), "Case 1", "equal_even_x"),
+            ((2100, 2100, 2**1069), 2, "Case 1", "equal_even_x"),
+            # Odd p with x = 0 and p^y wider than 2048 bits: z is the largest
+            # integer at most sqrt(1 + p^y) whose square is 1 + p^y modulo
+            # _RESIDUE_MODULUS, so both sides are formed.
+            ((0, 1029, 91555367), 3, "Case 2.4", "mihailescu_3"),
+            ((0, 686, 220292676), 5, "Case 2.5", "large_p"),
+            ((0, 295, 39342789), 97, "Case 2.5", "large_p"),
         ],
     )
     def test_residue_collisions_settled_without_the_quotient(
-        self, monkeypatch, triple, label, code
+        self, monkeypatch, triple, p, label, code
     ):
         # 2 has order 37 mod _RESIDUE_MODULUS (2073 = 1 and 2074 = 2, 2101
-        # and 2138 = 29 mod 37), and both candidates pass the bit-length
+        # and 2138 = 29 mod 37). For odd p the third entry is a square root
+        # r of 1 + p^y modulo it. Every candidate passes the bit-length
         # window and the residue test, so only verify's exact branches after
         # them can reject.
-        inst, (x, y, z) = EquationInstance(2, 1), triple
+        inst, (x, y, z) = EquationInstance(p, 1), triple
         m = _RESIDUE_MODULUS
-        assert (pow(2, x, m) + pow(2, y, m) - pow(z, 2, m)) % m == 0
-        assert not pxpy.classifier._widths_disagree(2, max(x, y), z, 2)
+        if p != 2:
+            s = math.isqrt(p**x + p**y)
+            z = s - (s - z) % m
+        assert (pow(p, x, m) + pow(p, y, m) - pow(z, 2, m)) % m == 0
+        assert not pxpy.classifier._widths_disagree(p, max(x, y), z, 2)
         lhs_calls = []
 
         def counting_eval_lhs(*args):
@@ -408,10 +418,10 @@ class TestVerifyAgainstNaive:
         monkeypatch.setattr(pxpy.classifier, "integer_root", no_root)
         verdict = verify(inst, SolutionTriple(x, y, z))
         assert verdict is False
-        assert lhs_calls == ([(2, x, y)] if x != y else [])
+        assert lhs_calls == ([(p, x, y)] if x != y else [])
         monkeypatch.undo()
         trace = trace_candidate(inst, SolutionTriple(x, y, z))
-        assert verdict == naive_verify(2, 1, x, y, z) == trace.accepted
+        assert verdict == naive_verify(p, 1, x, y, z) == trace.accepted
         assert (trace.case_label, trace.reason_code) == (label, code)
 
     def test_wide_near_misses_form_no_side(self, monkeypatch):
@@ -966,14 +976,14 @@ class TestCaseTraceRecord:
 
 class TestEnumerate:
     def test_examples(self):
-        assert [t.as_tuple() for t in enumerate_solutions(EquationInstance(2, 1), 3)] == [
+        assert enumerate_solutions(EquationInstance(2, 1), 3) == [
             (0, 3, 3),
             (1, 1, 2),
             (3, 0, 3),
             (3, 3, 4),
         ]
         assert enumerate_solutions(EquationInstance(5, 1), 100) == []
-        assert [t.as_tuple() for t in enumerate_solutions(EquationInstance(3, 1), 1)] == [
+        assert enumerate_solutions(EquationInstance(3, 1), 1) == [
             (0, 1, 2),
             (1, 0, 2),
         ]
@@ -987,8 +997,7 @@ class TestEnumerate:
     def test_strictly_increasing_and_duplicate_free(self):
         for p, n in [(2, 1), (3, 1), (2, 2)]:
             triples = enumerate_solutions(EquationInstance(p, n), 30)
-            keys = [t.as_tuple() for t in triples]
-            assert keys == sorted(set(keys))
+            assert triples == sorted(set(triples))
 
     def test_family_set_closed_under_swap(self):
         for p, n in [(2, 1), (3, 1), (2, 2)]:

@@ -50,7 +50,7 @@ class TestSearchBox:
 class TestBruteForce:
     def test_p2_n1_box6(self):
         report = brute_force(EquationInstance(2, 1), SearchBox(6, 6))
-        assert [t.as_tuple() for t in report.solutions] == P2_N1_BOX6
+        assert list(report.solutions) == P2_N1_BOX6
         assert report.pairs_checked == 49
         assert report.elapsed_ms >= 0.0
 
@@ -66,7 +66,7 @@ class TestBruteForce:
 
     def test_p2_n2_box8(self):
         report = brute_force(EquationInstance(2, 2), SearchBox(8, 8))
-        assert [t.as_tuple() for t in report.solutions] == [(3, 3, 2), (7, 7, 4)]
+        assert list(report.solutions) == [(3, 3, 2), (7, 7, 4)]
 
     def test_solutions_pass_verify(self):
         for p, n in [(2, 1), (3, 1), (2, 2), (2, 3)]:
@@ -77,7 +77,7 @@ class TestBruteForce:
 
     def test_sorted_and_duplicate_free(self):
         report = brute_force(EquationInstance(2, 1), SearchBox(15, 15))
-        keys = [t.as_tuple() for t in report.solutions]
+        keys = list(report.solutions)
         assert keys == sorted(set(keys))
 
     def test_workers_keyword_is_ignored(self):
@@ -88,7 +88,7 @@ class TestBruteForce:
     def test_degenerate_boxes(self):
         report = brute_force(EquationInstance(2, 1), SearchBox(0, 3))
         # 2^0 + 2^3 = 9 = 3^2 is the only hit in that strip.
-        assert [t.as_tuple() for t in report.solutions] == [(0, 3, 3)]
+        assert list(report.solutions) == [(0, 3, 3)]
         report = brute_force(EquationInstance(2, 1), SearchBox(0, 0))
         assert report.solutions == ()
 
@@ -115,14 +115,14 @@ class TestBruteForce:
         checked = []
 
         def counting(instance, triple):
-            checked.append(triple.as_tuple())
+            checked.append(triple)
             return verify(instance, triple)
 
         monkeypatch.setattr(pxpy.oracle, "verify", counting)
         report = brute_force(inst, box)
         hits = naive_scan(2, 1, box.x_max, box.y_max)
         assert sorted(checked) == sorted({(min(x, y), max(x, y), z) for x, y, z in hits})
-        assert [t.as_tuple() for t in report.solutions] == hits
+        assert list(report.solutions) == hits
 
     @pytest.mark.parametrize("box", [SearchBox(20, 20), SearchBox(20, 6), SearchBox(6, 20)])
     def test_each_reported_triple_is_built_once(self, monkeypatch, box):
@@ -302,7 +302,7 @@ class TestScanKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [t.as_tuple() for t in report.solutions] == [(0, 3, 3)]
+        assert list(report.solutions) == [(0, 3, 3)]
         # A table of p^0..p^40000 alone would take about 100 MB.
         assert peak < 5_000_000, peak
 
@@ -328,7 +328,7 @@ class TestScanKernel:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(pxpy.oracle, "_NARROW_ROW_BITS", narrow_bits)
                 report = brute_force(EquationInstance(p, n), SearchBox(x_max, y_max))
-            assert [t.as_tuple() for t in report.solutions] == expected, narrow_bits
+            assert list(report.solutions) == expected, narrow_bits
 
 
 # What the search must never consult: the classification and its families.
