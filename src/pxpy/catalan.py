@@ -3,14 +3,18 @@
 Mihailescu's theorem (Catalan's conjecture) says a^x - b^y = 1 with all of
 a, b, x, y > 1 has exactly one solution: 3^2 - 2^3 = 1. The classifier leans
 on that fact twice, so this module re-derives it by bounded search, keeping
-the repository from resting on an unchecked citation.
+the repository from resting on an unchecked citation. search_catalan builds
+one table of exact powers per call, row k holding base^(k+2), at one product
+per table entry, and finds every a^x - 1 that is also some b^y by one set
+intersection; nothing is kept between calls.
 
 All searches are deterministic and emit sorted results.
 """
 
 from __future__ import annotations
 
-from operator import index
+from itertools import chain, repeat
+from operator import index, mul, sub
 from typing import NamedTuple
 
 from .classifier import EquationInstance, InternalInconsistencyError
@@ -46,24 +50,49 @@ class CatalanInstance(
 def search_catalan(a_max: int, b_max: int, x_max: int, y_max: int) -> list[CatalanInstance]:
     """Every (a, b, x, y) with 2 <= a <= a_max, ..., 2 <= y <= y_max and a^x - b^y = 1.
 
-    Precomputes all a^x values into a lookup table, then probes b^y + 1
-    against it; sorted by (a, b, x, y).
+    Refuses non-integer bounds with TypeError, as CatalanInstance does; a
+    bound below 2 leaves its side empty. One table of exact powers serves
+    both sides: row k holds base^(k+2) for bases 2, 3, ..., made from row
+    k - 1 by one product per entry, and only as wide as the sides that use
+    it, so no entry is formed that neither side needs. The a side is the
+    first x_max - 1 rows cut to a_max - 1 entries, the b side the first
+    y_max - 1 rows cut to b_max - 1. One set intersection of the a^x - 1
+    with the b^y gives the hits; each hit is looked up in the rows, so every
+    way of writing it as a^x and as b^y is reported. Each call builds its own
+    table and keeps nothing. Sorted by (a, b, x, y).
     """
-    powers: dict[int, list[tuple[int, int]]] = {}
-    for a in range(2, a_max + 1):
-        value = a * a
-        for x in range(2, x_max + 1):
-            powers.setdefault(value, []).append((a, x))
-            value *= a
-    found = []
-    for b in range(2, b_max + 1):
-        value = b * b
-        for y in range(2, y_max + 1):
-            for a, x in powers.get(value + 1, ()):
-                found.append(CatalanInstance(a, b, x, y))
-            value *= b
+    a_max, b_max, x_max, y_max = index(a_max), index(b_max), index(x_max), index(y_max)
+    a_rows, a_width = (x_max - 1, a_max - 1) if min(a_max, x_max) >= 2 else (0, 0)
+    b_rows, b_width = (y_max - 1, b_max - 1) if min(b_max, y_max) >= 2 else (0, 0)
+    bases = range(2, max(a_width, b_width) + 2)
+    shared = min(a_rows, b_rows)
+    rows, row = [], bases
+    for k in range(max(a_rows, b_rows)):
+        if k == shared:  # only the side with more rows needs the rest
+            row = row[: a_width if a_rows > b_rows else b_width]
+        row = list(map(mul, row, bases))
+        rows.append(row)
+    a_side = [row[:a_width] for row in rows[:a_rows]]
+    b_side = [row[:b_width] for row in rows[:b_rows]]
+    hits = set(map(sub, chain.from_iterable(a_side), repeat(1)))
+    hits.intersection_update(chain.from_iterable(b_side))
+    found = [
+        CatalanInstance(a, b, x, y)
+        for value in hits
+        for b, y in _roots(b_side, value)
+        for a, x in _roots(a_side, value + 1)
+    ]
     found.sort()
     return found
+
+
+def _roots(rows: list[list[int]], value: int):
+    """Every (base, exponent) with base^exponent = value in rows, row k holding base^(k+2)."""
+    for exponent, row in enumerate(rows, 2):
+        if row[0] > value:
+            break
+        if value in row:
+            yield row.index(value) + 2, exponent
 
 
 def lemma2_no_solutions(p: int, x_max: int) -> SearchReport:
