@@ -6,7 +6,7 @@ on that fact twice, so this module re-derives it by bounded search, keeping
 the repository from resting on an unchecked citation. search_catalan builds
 one table of exact powers per call, row k holding base^(k+2), at one product
 per table entry, and finds every a^x - 1 that is also some b^y by one set
-intersection; nothing is kept between calls.
+intersection; an empty box builds none, and nothing is kept between calls.
 
 All searches are deterministic and emit sorted results.
 """
@@ -51,29 +51,28 @@ def search_catalan(a_max: int, b_max: int, x_max: int, y_max: int) -> list[Catal
     """Every (a, b, x, y) with 2 <= a <= a_max, ..., 2 <= y <= y_max and a^x - b^y = 1.
 
     Refuses non-integer bounds with TypeError, as CatalanInstance does; a
-    bound below 2 leaves its side empty. One table of exact powers serves
-    both sides: row k holds base^(k+2) for bases 2, 3, ..., made from row
-    k - 1 by one product per entry, and only as wide as the sides that use
-    it, so no entry is formed that neither side needs. The a side is the
-    first x_max - 1 rows cut to a_max - 1 entries, the b side the first
-    y_max - 1 rows cut to b_max - 1. One set intersection of the a^x - 1
-    with the b^y gives the hits; each hit is looked up in the rows, so every
-    way of writing it as a^x and as b^y is reported. Each call builds its own
-    table and keeps nothing. Sorted by (a, b, x, y).
+    bound below 2 empties the box, and then nothing is built. One table of
+    exact powers serves both sides: row k holds base^(k+2) for bases 2, 3,
+    ..., made from row k - 1 by one product per entry, and only as wide as
+    the sides that use it, so no entry is formed that neither side needs.
+    The a side is the first x_max - 1 rows cut to a_max - 1 entries, the b
+    side the first y_max - 1 rows cut to b_max - 1. One set intersection of
+    the a^x - 1 with the b^y gives the hits; each hit is looked up in the
+    rows, so every way of writing it as a^x and as b^y is reported. Each
+    call builds its own table and keeps nothing. Sorted by (a, b, x, y).
     """
     a_max, b_max, x_max, y_max = index(a_max), index(b_max), index(x_max), index(y_max)
-    a_rows, a_width = (x_max - 1, a_max - 1) if min(a_max, x_max) >= 2 else (0, 0)
-    b_rows, b_width = (y_max - 1, b_max - 1) if min(b_max, y_max) >= 2 else (0, 0)
-    bases = range(2, max(a_width, b_width) + 2)
-    shared = min(a_rows, b_rows)
+    if min(a_max, b_max, x_max, y_max) < 2:
+        return []
+    bases = range(2, max(a_max, b_max) + 1)
     rows, row = [], bases
-    for k in range(max(a_rows, b_rows)):
-        if k == shared:  # only the side with more rows needs the rest
-            row = row[: a_width if a_rows > b_rows else b_width]
+    for k in range(max(x_max, y_max) - 1):
+        if k == min(x_max, y_max) - 1:  # only the side with more rows needs the rest
+            row = row[: (a_max if x_max > y_max else b_max) - 1]
         row = list(map(mul, row, bases))
         rows.append(row)
-    a_side = [row[:a_width] for row in rows[:a_rows]]
-    b_side = [row[:b_width] for row in rows[:b_rows]]
+    a_side = [row[: a_max - 1] for row in rows[: x_max - 1]]
+    b_side = [row[: b_max - 1] for row in rows[: y_max - 1]]
     hits = set(map(sub, chain.from_iterable(a_side), repeat(1)))
     hits.intersection_update(chain.from_iterable(b_side))
     found = [

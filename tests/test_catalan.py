@@ -113,6 +113,25 @@ def test_search_catalan_forms_only_the_powers_a_side_needs(monkeypatch):
     assert len(products) == 49 + 2 * 38
 
 
+@pytest.mark.parametrize("bounds", [(1, 50, 40, 40), (50, 1, 40, 40), (50, 50, 1, 40), (50, 50, 40, 1)])
+def test_search_catalan_forms_no_power_for_an_empty_box(monkeypatch, bounds):
+    products = []
+
+    def counting_mul(left, right):
+        products.append((left, right))
+        return left * right
+
+    monkeypatch.setattr(pxpy.catalan, "mul", counting_mul)
+    # A bound below 2 empties the box, so neither side is built, however
+    # large the other bounds are.
+    assert search_catalan(*bounds) == []
+    assert products == []
+
+
+def test_search_catalan_returns_at_once_for_a_huge_empty_box():
+    assert search_catalan(10**5, 0, 10**9, 10**9) == []
+
+
 def test_wide_search_finds_only_eight_and_nine():
     assert search_catalan(400, 400, 30, 30) == [CatalanInstance(3, 2, 2, 3)]
 

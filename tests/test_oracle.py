@@ -331,6 +331,34 @@ class TestScanKernel:
             assert list(report.solutions) == expected, narrow_bits
 
 
+PRIMES_BELOW_200 = [q for q in range(2, 200) if all(q % d for d in range(2, q))]
+
+
+def odd_degree_closed_form(p, m, bound):
+    """The (a, b, z), a <= b <= bound, of p^a + p^b = z^m for odd m, by Mihailescu's theorem.
+
+    p = 2 gives a = b = m*t + m - 1 with z = 2^(t+1); p = 2^m - 1 prime gives
+    (m*t, m*t + 1, 2*p^t); no other prime gives any.
+    """
+    if p == 2:
+        return [(m * t + m - 1, m * t + m - 1, 2 ** (t + 1)) for t in range((bound + 1) // m)]
+    if p == 2**m - 1:
+        return [(m * t, m * t + 1, 2 * p**t) for t in range((bound - 1) // m + 1)]
+    return []
+
+
+def test_scan_kernel_matches_the_closed_form_at_odd_root_degrees():
+    # The kernel is family-blind and takes any root degree; at odd m its
+    # hits must be exactly those the closed form predicts: 87 in all, for
+    # p = 2 and the Mersenne primes 7, 31 and 127.
+    hits = 0
+    for m in (3, 5, 7, 9):
+        for p in PRIMES_BELOW_200:
+            expected = odd_degree_closed_form(p, m, 60)
+            assert pxpy.oracle._scan_rows(p, m, 60, 60) == expected, (p, m)
+            hits += len(expected)
+    assert hits == 87
+
 # What the search must never consult: the classification and its families.
 _FAMILY_NAMES = {"classify", "enumerate_solutions", "instantiate", "SolutionFamily", "trace_candidate"}
 
