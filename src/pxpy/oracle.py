@@ -41,7 +41,7 @@ _SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 # survivor: a root that narrow costs about as much as a sieve step, and a
 # row holding a solution would otherwise run every modulus for it.
 # Measured in process on certify's box ops (seeds 1-8, min of 60 alternated
-# repeats, Python 3.11.7, 2 vCPUs): never stopping there cost 13-16% per
+# repeats, Python 3.11.7, 2 vCPUs): never stopping there cost 13-17% per
 # seed; stopping at every row's last survivor cost the slot (1000859, n = 1,
 # 60 x 10), whose rows hold 1220 bits, 3.5x (17.1 -> 60.7 us).
 _NARROW_ROW_BITS = 1024

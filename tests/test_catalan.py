@@ -96,14 +96,20 @@ def test_search_catalan_keeps_no_state():
     assert all(after[name] is before[name] for name in before)
 
 
-def test_search_catalan_forms_only_the_powers_a_side_needs(monkeypatch):
-    products = []
+@pytest.fixture
+def products(monkeypatch):
+    """The (left, right) of every product search_catalan forms, in order."""
+    formed = []
 
     def counting_mul(left, right):
-        products.append((left, right))
+        formed.append((left, right))
         return left * right
 
     monkeypatch.setattr(pxpy.catalan, "mul", counting_mul)
+    return formed
+
+
+def test_search_catalan_forms_only_the_powers_a_side_needs(products):
     # One side is the squares of 2..50, the other the powers of 2 and 3 up
     # to exponent 40: 49 + 2 * 38 products, not a 49-wide row per exponent.
     assert search_catalan(50, 3, 2, 40) == [CatalanInstance(3, 2, 2, 3)]
@@ -113,23 +119,15 @@ def test_search_catalan_forms_only_the_powers_a_side_needs(monkeypatch):
     assert len(products) == 49 + 2 * 38
 
 
-@pytest.mark.parametrize("bounds", [(1, 50, 40, 40), (50, 1, 40, 40), (50, 50, 1, 40), (50, 50, 40, 1)])
-def test_search_catalan_forms_no_power_for_an_empty_box(monkeypatch, bounds):
-    products = []
-
-    def counting_mul(left, right):
-        products.append((left, right))
-        return left * right
-
-    monkeypatch.setattr(pxpy.catalan, "mul", counting_mul)
+@pytest.mark.parametrize(
+    "bounds",
+    [(1, 50, 40, 40), (50, 1, 40, 40), (50, 50, 1, 40), (50, 50, 40, 1), (10**5, 0, 10**9, 10**9)],
+)
+def test_search_catalan_forms_no_power_for_an_empty_box(products, bounds):
     # A bound below 2 empties the box, so neither side is built, however
     # large the other bounds are.
     assert search_catalan(*bounds) == []
     assert products == []
-
-
-def test_search_catalan_returns_at_once_for_a_huge_empty_box():
-    assert search_catalan(10**5, 0, 10**9, 10**9) == []
 
 
 def test_wide_search_finds_only_eight_and_nine():

@@ -359,6 +359,7 @@ def test_scan_kernel_matches_the_closed_form_at_odd_root_degrees():
             hits += len(expected)
     assert hits == 87
 
+
 # What the search must never consult: the classification and its families.
 _FAMILY_NAMES = {"classify", "enumerate_solutions", "instantiate", "SolutionFamily", "trace_candidate"}
 
