@@ -65,9 +65,9 @@ def search_catalan(a_max: int, b_max: int, x_max: int, y_max: int) -> list[Catal
     if min(a_max, b_max, x_max, y_max) < 2:
         return []
     bases = range(2, max(a_max, b_max) + 1)
-    rows, row = [], bases
+    rows, row, shared = [], bases, min(x_max, y_max) - 1
     for k in range(max(x_max, y_max) - 1):
-        if k == min(x_max, y_max) - 1:  # only the side with more rows needs the rest
+        if k == shared:  # only the side with more rows needs the rest
             row = row[: (a_max if x_max > y_max else b_max) - 1]
         row = list(map(mul, row, bases))
         rows.append(row)
