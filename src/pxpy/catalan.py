@@ -5,15 +5,18 @@ a, b, x, y > 1 has exactly one solution: 3^2 - 2^3 = 1. The classifier leans
 on that fact twice, so this module re-derives it by bounded search, keeping
 the repository from resting on an unchecked citation. search_catalan builds
 one table of exact powers per call, row k holding base^(k+2), at one product
-per table entry, and finds every a^x - 1 that is also some b^y by one set
-intersection; an empty box builds none, and nothing is kept between calls.
+per table entry, up to the largest value a hit can take, and finds every
+a^x - 1 that is also some b^y by one set intersection; an empty box builds
+none, and nothing is kept between calls.
 
 All searches are deterministic and emit sorted results.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import chain, repeat
+from math import isqrt
 from operator import index, mul, sub
 from typing import NamedTuple
 
@@ -55,21 +58,31 @@ def search_catalan(a_max: int, b_max: int, x_max: int, y_max: int) -> list[Catal
     exact powers serves both sides: row k holds base^(k+2) for bases 2, 3,
     ..., made from row k - 1 by one product per entry, and only as wide as
     the sides that use it, so no entry is formed that neither side needs.
-    The a side is the first x_max - 1 rows cut to a_max - 1 entries, the b
-    side the first y_max - 1 rows cut to b_max - 1. One set intersection of
-    the a^x - 1 with the b^y gives the hits; each hit is looked up in the
-    rows, so every way of writing it as a^x and as b^y is reported. Each
-    call builds its own table and keeps nothing. Sorted by (a, b, x, y).
+    No hit's a^x exceeds a_max^x_max or b_max^y_max + 1, so each row is cut
+    at whichever of the two their bit lengths make smaller, the other never
+    being formed, and the table ends at its first empty row. The a side is
+    the first x_max - 1 rows cut to a_max - 1 entries, the b side the first
+    y_max - 1 rows cut to b_max - 1. One set intersection of the a^x - 1
+    with the b^y gives the hits; each hit is looked up in the rows, so every
+    way of writing it as a^x and as b^y is reported. Each call builds its
+    own table and keeps nothing. Sorted by (a, b, x, y).
     """
     a_max, b_max, x_max, y_max = index(a_max), index(b_max), index(x_max), index(y_max)
     if min(a_max, b_max, x_max, y_max) < 2:
         return []
-    bases = range(2, max(a_max, b_max) + 1)
+    if x_max * a_max.bit_length() <= y_max * b_max.bit_length():
+        cap = a_max**x_max
+    else:
+        cap = b_max**y_max + 1
+    bases = range(2, min(max(a_max, b_max), isqrt(cap)) + 1)
     rows, row, shared = [], bases, min(x_max, y_max) - 1
     for k in range(max(x_max, y_max) - 1):
         if k == shared:  # only the side with more rows needs the rest
             row = row[: (a_max if x_max > y_max else b_max) - 1]
         row = list(map(mul, row, bases))
+        del row[bisect(row, cap) :]  # each row increases with its base
+        if not row:
+            break
         rows.append(row)
     a_side = [row[: a_max - 1] for row in rows[: x_max - 1]]
     b_side = [row[: b_max - 1] for row in rows[: y_max - 1]]

@@ -6,10 +6,15 @@ arbitrary precision survives serialization. The --digit-cap bounds every
 integer a command reads or writes, so the interpreter's int-to-str limit is
 lifted only while a command runs and then restored.
 
-main builds its argparse parser once per process and reuses it. A command's
-arguments are parsed once, by its subcommand's parser; the top-level parser
-sees only an argv that names no command, asks for top-level help or leaves
-arguments over, and answers it as argparse always has. Each command parses
+main builds its argparse parser once per process and reuses it. An argv
+that names a command and then gives only exact, distinct `--option value`
+pairs of that command (each flag spelled out, no value starting with "-",
+every value among its option's choices, every required option there) is read
+directly into the namespace argparse would build, defaults included. Any
+other argv goes to argparse, with the same help, errors and exit codes as
+ever: a command's arguments are parsed once, by its subcommand's parser, and
+the top-level parser sees only an argv that names no command, asks for
+top-level help or leaves arguments over. Each command parses
 and checks all of its input before it computes anything, and nothing a
 command computes is kept for the next. Exit codes: 0 success / certified /
 consistent; 1 well-formed negative result; 2 invalid input or digit cap
@@ -260,24 +265,30 @@ def cmd_summary(args: argparse.Namespace, cap: int) -> int:
     return 0
 
 
+def _add_option(parser: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+    parser.options[flag] = parser.add_argument(flag, **kwargs)
+
+
 def _add_instance(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", required=True, metavar="P", help="prime base")
-    parser.add_argument(
-        "--n", required=True, metavar="N", help="exponent parameter; z is raised to 2n"
+    _add_option(parser, "--p", required=True, metavar="P", help="prime base")
+    _add_option(
+        parser, "--n", required=True, metavar="N", help="exponent parameter; z is raised to 2n"
     )
 
 
 def _add_triple(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-x", required=True, metavar="X", help="exponent x")
-    parser.add_argument("-y", required=True, metavar="Y", help="exponent y")
-    parser.add_argument("-z", required=True, metavar="Z", help="base z")
+    _add_option(parser, "-x", required=True, metavar="X", help="exponent x")
+    _add_option(parser, "-y", required=True, metavar="Y", help="exponent y")
+    _add_option(parser, "-z", required=True, metavar="Z", help="base z")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first call; callers must not change it.
 
-    Its commands attribute maps each subcommand's name to that subcommand's parser.
+    Its commands attribute maps each subcommand's name to that subcommand's
+    parser, and each of those carries an options attribute mapping every
+    option string it declares, help aside, to what add_argument returned.
     """
     parser = argparse.ArgumentParser(
         prog="pxpy",
@@ -286,48 +297,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("classify", help="emit the symbolic solution families")
-    _add_instance(sp)
-    sp.set_defaults(func=cmd_classify)
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        sp.options = {}
+        return sp
 
-    sp = sub.add_parser("enumerate", help="list all solutions with x, y <= bound")
+    sp = command("classify", cmd_classify, "emit the symbolic solution families")
     _add_instance(sp)
-    sp.add_argument("--max-exponent", required=True, metavar="B")
-    sp.add_argument("--format", choices=("json-lines", "tsv"), default="json-lines")
-    sp.set_defaults(func=cmd_enumerate)
 
-    sp = sub.add_parser("verify", help="check one (x, y, z) candidate")
+    sp = command("enumerate", cmd_enumerate, "list all solutions with x, y <= bound")
+    _add_instance(sp)
+    _add_option(sp, "--max-exponent", required=True, metavar="B")
+    _add_option(sp, "--format", choices=("json-lines", "tsv"), default="json-lines")
+
+    sp = command("verify", cmd_verify, "check one (x, y, z) candidate")
     _add_instance(sp)
     _add_triple(sp)
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("trace", help="explain a candidate's verdict case by case")
+    sp = command("trace", cmd_trace, "explain a candidate's verdict case by case")
     _add_instance(sp)
     _add_triple(sp)
-    sp.set_defaults(func=cmd_trace)
 
-    sp = sub.add_parser("search", help="brute-force a bounded exponent box")
+    sp = command("search", cmd_search, "brute-force a bounded exponent box")
     _add_instance(sp)
-    sp.add_argument("--x-max", required=True, metavar="XMAX")
-    sp.add_argument("--y-max", required=True, metavar="YMAX")
-    sp.set_defaults(func=cmd_search)
+    _add_option(sp, "--x-max", required=True, metavar="XMAX")
+    _add_option(sp, "--y-max", required=True, metavar="YMAX")
 
-    sp = sub.add_parser(
-        "crosscheck", help="certify search and families agree on a box"
-    )
-    sp.add_argument("--p", default=DEFAULT_CROSSCHECK_PRIMES, metavar="P[,P...]")
-    sp.add_argument("--n", default=DEFAULT_CROSSCHECK_NS, metavar="N[,N...]")
-    sp.add_argument("--x-max", default=DEFAULT_CROSSCHECK_BOUND, metavar="XMAX")
-    sp.add_argument("--y-max", default=DEFAULT_CROSSCHECK_BOUND, metavar="YMAX")
-    sp.set_defaults(func=cmd_crosscheck)
+    sp = command("crosscheck", cmd_crosscheck, "certify search and families agree on a box")
+    _add_option(sp, "--p", default=DEFAULT_CROSSCHECK_PRIMES, metavar="P[,P...]")
+    _add_option(sp, "--n", default=DEFAULT_CROSSCHECK_NS, metavar="N[,N...]")
+    _add_option(sp, "--x-max", default=DEFAULT_CROSSCHECK_BOUND, metavar="XMAX")
+    _add_option(sp, "--y-max", default=DEFAULT_CROSSCHECK_BOUND, metavar="YMAX")
 
-    sp = sub.add_parser("summary", help="print the solvable/unsolvable regime table")
-    sp.set_defaults(func=cmd_summary)
+    command("summary", cmd_summary, "print the solvable/unsolvable regime table")
 
     # Declared after each command's own options, so it comes last in every
     # usage line and help screen.
     for sp in sub.choices.values():
-        sp.add_argument(
+        _add_option(
+            sp,
             "--digit-cap",
             default=str(DEFAULT_DIGIT_CAP),
             help="refuse computations beyond this many decimal digits; 0 disables"
@@ -337,14 +346,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_pairs(command: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace command's parser makes of argv, if argv is only `--option value` pairs.
+
+    Each flag must be one of the command's option strings, spelled out and
+    given once, and each value must not start with "-" and must be among
+    the option's choices; every required option must be there. Any other
+    argv, whether argparse would accept it or not, gives None.
+    """
+    given = dict(zip(argv[::2], argv[1::2]))
+    if 2 * len(given) != len(argv):  # an odd length, or a flag given twice
+        return None
+    values = {"func": command.get_default("func")}
+    for flag, action in command.options.items():
+        value = given.pop(flag, None)
+        if value is None:
+            if action.required:
+                return None
+            value = action.default
+        elif value.startswith("-") or (action.choices is not None and value not in action.choices):
+            return None
+        values[action.dest] = value
+    return None if given else argparse.Namespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    # A named command's arguments go straight to its own parser, so they are
-    # parsed once. Any other argv, or one that leaves arguments over, goes
-    # through the whole parser, whose help, usage and errors are argparse's.
+    # A named command's plain `--option value` pairs are read directly; its
+    # other arguments go straight to its own parser, so they are parsed once.
+    # Any other argv, or one that leaves arguments over, goes through the
+    # whole parser, whose help, usage and errors are argparse's.
     command = parser.commands.get(argv[0]) if argv else None
-    args, extras = command.parse_known_args(argv[1:]) if command else (None, None)
+    args = extras = None
+    if command:
+        args = _read_pairs(command, argv[1:])
+        if args is None:
+            args, extras = command.parse_known_args(argv[1:])
     if args is None or extras:
         args = parser.parse_args(argv)
     str_limit = sys.get_int_max_str_digits()

@@ -110,13 +110,23 @@ def products(monkeypatch):
 
 
 def test_search_catalan_forms_only_the_powers_a_side_needs(products):
-    # One side is the squares of 2..50, the other the powers of 2 and 3 up
-    # to exponent 40: 49 + 2 * 38 products, not a 49-wide row per exponent.
+    # One side is the squares of 2..50, the other the powers of 2 and 3,
+    # needed only up to 50^2 + 1: 49 squares, then 2^3..2^12 and 3^3..3^8,
+    # each run ending at the first power past the cap: 49 + 10 + 6, not a
+    # 49-wide row per exponent, nor 2 * 38 powers up to exponent 40.
     assert search_catalan(50, 3, 2, 40) == [CatalanInstance(3, 2, 2, 3)]
-    assert len(products) == 49 + 2 * 38
+    assert len(products) == 49 + 10 + 6
     products.clear()
     assert search_catalan(3, 50, 40, 2) == []
-    assert len(products) == 49 + 2 * 38
+    assert len(products) == 49 + 10 + 6
+
+
+@pytest.mark.parametrize("bounds", [(2000, 2, 300, 2), (10**5, 2, 10**9, 2)])
+def test_search_catalan_bounds_a_lopsided_box_by_its_short_side(products, bounds):
+    # The b side is just 2^2, so no a^x past 5 can be a hit: the long side
+    # stops at 2^3, however many bases and exponents it allows.
+    assert search_catalan(*bounds) == []
+    assert products == [(2, 2), (4, 2)]
 
 
 @pytest.mark.parametrize(

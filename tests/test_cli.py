@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -642,6 +643,77 @@ _WELL_FORMED_STDOUT = dict(zip(_WELL_FORMED, [
 ]))
 
 
+# argv that main reads without argparse is only `--option value` pairs; each
+# of these breaks that form in one way, and argparse answers it.
+_FALLBACKS = [
+    ("classify", "--p", "2", "--n"),  # odd length
+    ("classify", "--p=2", "--n=1"),  # a flag with its value attached
+    ("verify", "--p", "3", "--n", "1", "-x3", "-y2", "-z6", "--digit-cap=0"),
+    ("enumerate", "--p", "2", "--n", "1", "--max-e", "6"),  # an abbreviated flag
+    ("classify", "--p", "2", "--n", "1", "-h", "x"),  # help is not read as a pair
+    ("classify", "--p", "2", "--n", "1", "--p", "3"),  # a repeated flag
+    ("verify", "--p", "3", "--n", "1", "-x", "-3", "-y", "2", "-z", "6"),  # a value with "-"
+    ("enumerate", "--p", "2", "--n", "1", "--max-exponent", "6", "--format", "xml"),
+    ("classify", "--p", "2"),  # a required option missing
+    ("summary", "x", "y"),  # not a flag at all
+]
+
+# Each command's options, required ones first, as its help screen lists them.
+_OPTIONS = {
+    "classify": (("--p", "--n"), ("--digit-cap",)),
+    "enumerate": (("--p", "--n", "--max-exponent"), ("--format", "--digit-cap")),
+    "verify": (("--p", "--n", "-x", "-y", "-z"), ("--digit-cap",)),
+    "trace": (("--p", "--n", "-x", "-y", "-z"), ("--digit-cap",)),
+    "search": (("--p", "--n", "--x-max", "--y-max"), ("--digit-cap",)),
+    "crosscheck": ((), ("--p", "--n", "--x-max", "--y-max", "--digit-cap")),
+    "summary": ((), ("--digit-cap",)),
+}
+
+
+def canonical_argv(rng):
+    """A command, its required options and some optional ones, as distinct pairs in any order."""
+    command = rng.choice(_COMMANDS)
+    required, optional = _OPTIONS[command]
+    flags = [*required, *(flag for flag in optional if rng.random() < 0.5)]
+    rng.shuffle(flags)
+    argv = [command]
+    for flag in flags:
+        if flag == "--format":
+            value = rng.choice(("json-lines", "tsv"))
+        elif command == "crosscheck" and flag in ("--p", "--n"):
+            value = ",".join(str(rng.randint(1, 7)) for _ in range(rng.randint(1, 3)))
+        else:
+            value = str(rng.randint(0, 20))
+        argv += [flag, value]
+    return tuple(argv)
+
+
+_SOUP = ("--p", "--n", "-x", "-y", "-z", "--max-exponent", "--format", "--x-max", "--y-max",
+         "--digit-cap", "2", "3", "0", "17", "1,2", "tsv", "json-lines", "xml", "-3", "-", "--",
+         "", " 4", "--p=2", "-x3", "--max-e", "--x", "-h", "--help", "verify")
+
+
+def token_soup(rng):
+    """A command, then up to a dozen tokens from its options, values and near misses."""
+    return (rng.choice(_COMMANDS), *(rng.choice(_SOUP) for _ in range(rng.randint(0, 12))))
+
+
+def spy_on_parses(monkeypatch, parsers):
+    """The names of the parse_args and parse_known_args calls made on parsers, in order."""
+    calls = []
+
+    def spy(method):
+        def called(*args, **kwargs):
+            calls.append(method.__name__)
+            return method(*args, **kwargs)
+        return called
+
+    for parser in parsers:
+        for name in ("parse_args", "parse_known_args"):
+            monkeypatch.setattr(parser, name, spy(getattr(parser, name)))
+    return calls
+
+
 class TestArgvRouting:
     """main parses a named command with its own parser, and answers as the whole parser would."""
 
@@ -668,16 +740,7 @@ class TestArgvRouting:
 
     def test_a_named_command_skips_the_top_level_parse(self, capsys, monkeypatch):
         parser = cli.build_parser.__wrapped__()
-        calls = []
-
-        def spy(method):
-            def called(*args, **kwargs):
-                calls.append(method.__name__)
-                return method(*args, **kwargs)
-            return called
-
-        for name in ("parse_args", "parse_known_args"):
-            monkeypatch.setattr(parser, name, spy(getattr(parser, name)))
+        calls = spy_on_parses(monkeypatch, [parser])
         monkeypatch.setattr(cli, "build_parser", lambda: parser)
         for argv in _WELL_FORMED:
             assert outcome(capsys, argv)[0] == 0, argv
@@ -685,6 +748,43 @@ class TestArgvRouting:
         # Arguments left over go to the whole parser, which reports them.
         assert outcome(capsys, ("summary", "x"))[0] == 2
         assert "parse_args" in calls
+
+    def test_pairs_read_directly_are_what_argparse_reads(self):
+        # Whenever main reads an argv without argparse, argparse accepts that
+        # argv and gives the command the same values, defaults included.
+        parser = cli.build_parser()
+        rng = random.Random(7)
+        canonical = [canonical_argv(rng) for _ in range(400)]
+        soups = [token_soup(rng) for _ in range(4000)]
+        read = []
+        for argv in [*canonical, *soups, *_WELL_FORMED, *_ARGPARSE_EXITS, *_FALLBACKS]:
+            command = parser.commands.get(argv[0]) if argv else None
+            args = command and cli._read_pairs(command, list(argv[1:]))
+            if args is None:
+                continue
+            try:
+                whole = vars(parser.parse_args(list(argv)))
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv}, which main read directly")
+            assert whole.pop("command") == argv[0]
+            assert vars(args) == whole, argv
+            read.append(argv)
+        assert set(canonical) <= set(read)
+        assert len(read) > len(canonical)  # some soups are pairs too
+        assert not set(_FALLBACKS) & set(read)
+
+    def test_plain_pairs_reach_no_argparse_parse(self, capsys, monkeypatch):
+        parser = cli.build_parser.__wrapped__()
+        calls = spy_on_parses(monkeypatch, [parser, *parser.commands.values()])
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+        rng = random.Random(11)
+        for argv in [canonical_argv(rng) for _ in range(60)]:
+            outcome(capsys, argv)
+        assert calls == []
+        for argv in _FALLBACKS:
+            outcome(capsys, argv)
+            assert calls, argv
+            calls.clear()
 
     # The tests above compare main with build_parser(), so these two pin what
     # a user sees apart from it.
